@@ -11,14 +11,22 @@
 // enter/register); blocking client and upstream sockets are deliberately
 // uncounted — see src/net/syscount.hpp.
 //
+// It also links the counting operator new/delete (obs/hook/alloc_hook.cpp)
+// and reports heap allocations per request made on the proxy's loop thread,
+// read from the thread-local counters by tasks posted to that loop at both
+// ends of the window — the real serving path's allocation figure, where
+// bench_alloc measures a rebuilt component pipeline.
+//
 // One section per backend: epoll always, uring when the kernel supports it.
 // Output is a JSON object on stdout (recorded in BENCH_micro.json under
 // "syscall_plane"). With `--budget <file.json>` it doubles as the CI gate:
-// exits nonzero when a backend exceeds its absolute syscalls/request budget
-// or uring fails the required relative drop vs epoll.
+// exits nonzero when a backend exceeds its absolute syscalls/request or
+// epoll_ctl/request budget, or uring fails the required relative drop vs
+// epoll.
 //
 // Usage: bench_syscalls [--conns N] [--requests N] [--budget bench/syscall_budget.json]
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -36,6 +44,7 @@
 #include "net/servers.hpp"
 #include "net/socket.hpp"
 #include "net/syscount.hpp"
+#include "obs/alloc.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
 
@@ -114,7 +123,17 @@ struct BackendResult {
   std::uint64_t origin_requests = 0;  // in-window origin traffic (should be ~0)
   net::sys::Counters delta;
   double per_request = 0;
+  double ctl_per_request = 0;
+  std::uint64_t loop_allocs = 0;  // heap allocations on the proxy's loop thread
+  double loop_allocs_per_request = 0;
 };
+
+// The loop thread's allocation count so far, read by a task posted to it.
+std::uint64_t loop_allocations(net::EventLoop& loop) {
+  std::promise<std::uint64_t> count;
+  loop.post([&count] { count.set_value(obs::thread_alloc_counters().allocations); });
+  return count.get_future().get();
+}
 
 BackendResult measure(const std::string& backend, std::size_t conns,
                       std::size_t requests_per_conn) {
@@ -158,6 +177,7 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   }
 
   const std::uint64_t origin_before = upstream.requests_served();
+  const std::uint64_t allocs_before = loop_allocations(proxy.loop(0));
   const net::sys::Counters before = net::sys::snapshot();
   std::vector<std::thread> threads;
   std::vector<std::size_t> hits(conns, 0);
@@ -172,6 +192,7 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   }
   for (std::thread& t : threads) t.join();
   const net::sys::Counters after = net::sys::snapshot();
+  const std::uint64_t allocs_after = loop_allocations(proxy.loop(0));
   const std::uint64_t origin_after = upstream.requests_served();
 
   BackendResult result;
@@ -180,14 +201,26 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   for (const std::size_t h : hits) result.hits += h;
   result.origin_requests = origin_after - origin_before;
   result.delta = after - before;
-  result.per_request =
-      static_cast<double>(result.delta.total()) / static_cast<double>(result.requests);
+  const auto per_request = [&](std::uint64_t n) {
+    return static_cast<double>(n) / static_cast<double>(result.requests);
+  };
+  result.per_request = per_request(result.delta.total());
+  result.ctl_per_request = per_request(result.delta.ctl);
+  result.loop_allocs = allocs_after - allocs_before;
+  result.loop_allocs_per_request = per_request(result.loop_allocs);
   return result;
 }
 
 void print_result(const BackendResult& r, bool last) {
   std::printf("    \"%s\": {\n", r.backend.c_str());
   std::printf("      \"syscalls_per_request\": %.2f,\n", r.per_request);
+  std::printf("      \"epoll_ctl_per_request\": %.3f,\n", r.ctl_per_request);
+  if (appx::obs::alloc_counting_active()) {
+    std::printf("      \"loop_allocs_per_request\": %.2f, \"loop_allocs\": %llu,\n",
+                r.loop_allocs_per_request, static_cast<unsigned long long>(r.loop_allocs));
+  } else {
+    std::printf("      \"loop_allocs_per_request\": null,\n");
+  }
   std::printf("      \"requests\": %zu, \"hits\": %zu, \"origin_requests_in_window\": %llu,\n",
               r.requests, r.hits, static_cast<unsigned long long>(r.origin_requests));
   std::printf("      \"breakdown_total\": {\"wait\": %llu, \"ctl\": %llu, \"read\": %llu, "
@@ -239,7 +272,8 @@ int main(int argc, char** argv) {
           : 0.0;
 
   std::printf("{\n  \"syscall_plane\": {\n");
-  std::printf("    \"conns\": %zu, \"requests_per_conn\": %zu,\n", conns, requests_per_conn);
+  std::printf("    \"conns\": %zu, \"requests_per_conn\": %zu, \"nproc\": %u,\n", conns,
+              requests_per_conn, std::thread::hardware_concurrency());
   std::printf("    \"note\": \"server-side syscalls per warm-hit request, one loop thread; "
               "in-code counters (src/net/syscount.hpp), client/upstream sockets "
               "uncounted\",\n");
@@ -257,6 +291,16 @@ int main(int argc, char** argv) {
     const json::Value budget =
         json::parse(std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()));
     const double epoll_max = budget.at("epoll_syscalls_per_request").as_double();
+    const double ctl_max = budget.at("epoll_ctl_per_request").as_double();
+    const BackendResult* const results[] = {&epoll, &uring};
+    for (const BackendResult* r : results) {
+      if (r->ctl_per_request > ctl_max) {
+        std::fprintf(stderr, "bench_syscalls: %s warm-hit path costs %.3f epoll_ctl/request, "
+                             "budget %.3f\n",
+                     r->backend.c_str(), r->ctl_per_request, ctl_max);
+        return 1;
+      }
+    }
     if (epoll.per_request > epoll_max) {
       std::fprintf(stderr, "bench_syscalls: epoll warm-hit path costs %.2f syscalls/request, "
                            "budget %.2f\n",

@@ -68,21 +68,22 @@ struct EngineOptions {
   Duration io_timeout = seconds(10);        // per upstream read/write
   Duration request_deadline = seconds(15);  // whole upstream fetch
   // Prefetch execution: worker pool size (>= 1) and queue bound (overflow
-  // drops the oldest queued job and reports it to the engine; 0 = unbounded).
+  // sheds the lowest-priority queued job, the oldest among ties, and reports
+  // it to the engine; 0 = unbounded).
   std::size_t prefetch_workers = 4;
   std::size_t max_prefetch_queue = 256;
   // Event-loop runtime (DESIGN.md §5g). loop_threads reactor threads share
   // the accept load via SO_REUSEPORT (0 = hardware_concurrency); each runs
-  // one epoll loop driving non-blocking client connections. Engine events and
+  // one event loop driving non-blocking client connections. Engine events and
   // blocking upstream fetches run on request_workers threads off the loops
   // (0 = max(4, 2 * hardware_concurrency) — they block on origin I/O, so they
   // outnumber the loops).
   std::size_t loop_threads = 0;
   std::size_t request_workers = 0;
-  // Event-loop I/O backend (DESIGN.md §5l): "epoll" (readiness mode, the
-  // default), "uring" (io_uring completion mode; construction fails on
-  // kernels without the required support), or "auto" (uring when supported,
-  // else epoll). "" defers to the APPX_IO_BACKEND environment variable
+  // Event-loop I/O backend (DESIGN.md §5l) under the servers' completion-op
+  // I/O: "epoll" (ops on readiness, the default), "uring" (ops as io_uring
+  // SQEs; construction fails on kernels without the required support), or
+  // "auto" (uring when supported, else epoll). "" defers to the APPX_IO_BACKEND environment variable
   // (default epoll), so whole test/bench suites can be re-run under a
   // different backend without touching call sites.
   std::string io_backend;

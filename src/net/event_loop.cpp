@@ -7,6 +7,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -129,20 +130,17 @@ void EventLoop::cancel_timer(std::uint64_t id) {
   timer_tasks_.erase(id);
 }
 
-int EventLoop::next_timeout_ms() {
+std::optional<std::chrono::nanoseconds> EventLoop::time_to_next_timer() {
   // Pop lazily-cancelled heads for real: with one idle timer per connection
   // a heap copy here would be O(n) per wakeup.
   while (!timer_heap_.empty() &&
          timer_tasks_.find(timer_heap_.top().id) == timer_tasks_.end()) {
     timer_heap_.pop();
   }
-  if (timer_heap_.empty()) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  const auto delta =
-      std::chrono::duration_cast<std::chrono::milliseconds>(timer_heap_.top().when - now)
-          .count();
-  if (delta <= 0) return 0;
-  return static_cast<int>(delta > 60'000 ? 60'000 : delta);
+  if (timer_heap_.empty()) return std::nullopt;
+  const auto delta = timer_heap_.top().when - std::chrono::steady_clock::now();
+  return std::clamp<std::chrono::nanoseconds>(delta, std::chrono::nanoseconds::zero(),
+                                             std::chrono::seconds(60));
 }
 
 void EventLoop::fire_due_timers() {
@@ -161,13 +159,6 @@ void EventLoop::fire_due_timers() {
     }
   }
 }
-
-// Completion-op defaults: readiness-mode backends report "unsupported" and
-// callers fall back to add_fd/mod_fd/del_fd.
-bool EventLoop::submit_recv(int, void*, std::size_t, IoCallback) { return false; }
-bool EventLoop::submit_sendmsg(int, const msghdr*, IoCallback) { return false; }
-bool EventLoop::submit_accept(int, AcceptCallback) { return false; }
-void EventLoop::cancel_fd(int) {}
 
 std::string resolve_io_backend(std::string_view configured) {
   std::string backend(configured);

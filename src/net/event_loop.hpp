@@ -1,28 +1,24 @@
-// Event-loop interface of the network runtime (DESIGN.md §5g/§5l), with two
-// backends behind it:
-//
-//   * EpollEventLoop — the readiness-mode reactor: one epoll instance, level-
-//     triggered fd callbacks. The default everywhere.
-//   * UringEventLoop — a completion-mode io_uring backend (raw syscalls, no
-//     liburing): the same readiness contract via re-armed one-shot POLL_ADD
-//     (re-arming re-checks the readiness *level*, which multishot poll would
-//     not — the re-arm SQEs ride the next batched enter for free), plus a
-//     completion-op extension (submit_recv/submit_sendmsg/submit_accept) the
-//     servers use to run whole request/response exchanges with one batched
-//     io_uring_enter per loop iteration. Feature-detected at runtime
-//     (uring_supported()); kernels without it fall back under "auto".
+// Event-loop interface of the network runtime (DESIGN.md §5g/§5l). The
+// servers do all socket I/O through one completion-op contract (submit_recv,
+// submit_sendmsg, submit_accept, cancel_fd) that both backends implement:
+// EpollEventLoop on level-triggered readiness (the default), UringEventLoop
+// as batched io_uring SQEs (raw syscalls, no liburing; feature-detected —
+// kernels without it fall back under "auto"). The epoll backend also keeps
+// the plain readiness API (add_fd/mod_fd/del_fd) for load generators and
+// test origins that drive raw sockets themselves; uring refuses it.
 //
 // One EventLoop runs on one thread and multiplexes three event sources:
 //
-//   * file descriptors — add_fd/mod_fd/del_fd register a callback invoked
-//     with the ready-event mask. Handlers are reference-counted internally,
-//     so a callback may del_fd its own descriptor (or another handler's)
-//     mid-dispatch without use-after-free.
+//   * socket ops / fd readiness. Handler state is reference-counted, so a
+//     callback may cancel or deregister its own descriptor (or another's)
+//     mid-dispatch; results already harvested for a dropped descriptor are
+//     discarded, never delivered.
 //   * timers — a min-heap of deadlines with lazy cancellation, driving the
 //     idle/slow-loris timeouts of the live servers. Firing and cancelling
 //     are loop-thread-only and O(log n). Timers ride the backend's own wait
 //     primitive (epoll_wait timeout / io_uring_enter EXT_ARG) — they never
-//     cost an extra fd or syscall.
+//     cost an extra fd or syscall, never fire early and are never
+//     busy-polled.
 //   * cross-thread tasks — post() enqueues a closure from any thread and
 //     wakes the loop via an eventfd, but only when the loop may actually be
 //     sleeping: an "armed" flag set before the backend blocks elides the
@@ -44,6 +40,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <string_view>
@@ -57,12 +54,9 @@ class EventLoop {
   using FdCallback = std::function<void(std::uint32_t events)>;
   using Task = std::function<void()>;
   using TimePoint = std::chrono::steady_clock::time_point;
-  // Completion-op result: bytes transferred (>= 0) or -errno. The buffer a
-  // submitted op reads from / writes into is owned by the caller and must
-  // stay alive until the callback runs (see DESIGN.md §5l): callbacks
-  // capture the owning connection handle, which is what enforces it.
+  // Completion-op result: bytes transferred (>= 0) or -errno.
   using IoCallback = std::function<void(int res)>;
-  // Accepted client fd (>= 0) or -errno when the listener is cancelled.
+  // One accepted client fd (SOCK_NONBLOCK|SOCK_CLOEXEC applied).
   using AcceptCallback = std::function<void(int fd)>;
 
   virtual ~EventLoop();
@@ -81,37 +75,44 @@ class EventLoop {
   // only when it may be blocked in the kernel (armed-flag handshake).
   void post(Task task);
 
-  // --- fd readiness watching (loop thread only) -----------------------------
+  // --- completion ops (loop thread only; both backends) --------------------
+  //
+  // At most one recv and one sendmsg may be in flight per fd. The buffers an
+  // op reads from / writes into are owned by the caller and must stay valid
+  // until the op retires: the loop holds `owner` (typically the connection
+  // itself) from submission until the callback has returned, or until a
+  // cancelled op is fully retired by the kernel (DESIGN.md §5l). Callbacks
+  // never run inside the submit call; they are delivered from the loop.
 
-  // Register `fd` for the epoll `events` mask (EPOLLIN/EPOLLOUT/...). Both
-  // backends deliver the same mask semantics (level-triggered).
+  // One recv into [buf, buf+len); cb(bytes, 0 at EOF, or -errno).
+  virtual void submit_recv(int fd, void* buf, std::size_t len, IoCallback cb,
+                           std::shared_ptr<void> owner = {}) = 0;
+  // One sendmsg of a caller-owned msghdr/iovec (MSG_NOSIGNAL applied);
+  // cb(bytes or -errno). A result short of the iovec total is a partial
+  // send: resubmit the rest.
+  virtual void submit_sendmsg(int fd, const msghdr* msg, IoCallback cb,
+                              std::shared_ptr<void> owner = {}) = 0;
+  // Accept on a non-blocking listening fd: cb fires once per accepted
+  // connection until cancel_fd. Descriptor exhaustion (EMFILE/ENFILE/
+  // ENOBUFS/ENOMEM) parks the listener for kAcceptRearmBackoff instead of
+  // retrying in a spin.
+  virtual void submit_accept(int listen_fd, AcceptCallback cb) = 0;
+  // Drop every op on `fd` whose callback has not run yet — including one
+  // whose result is already in hand in the current batch — and release the
+  // fd's backend state. Call before closing the fd.
+  virtual void cancel_fd(int fd) = 0;
+
+  // --- fd readiness (loop thread only; epoll backend) -----------------------
+  //
+  // Level-triggered epoll masks for callers that do their own socket I/O.
+  // UringEventLoop throws InvalidStateError. Do not mix with ops on one fd.
+
+  // Register `fd` for the epoll `events` mask (EPOLLIN/EPOLLOUT/...).
   virtual void add_fd(int fd, std::uint32_t events, FdCallback callback) = 0;
   // Change the event mask of a registered fd.
   virtual void mod_fd(int fd, std::uint32_t events) = 0;
   // Deregister. Safe to call from inside the fd's own callback.
   virtual void del_fd(int fd) = 0;
-
-  // --- completion-mode ops (loop thread only; uring backend) ----------------
-  //
-  // All return/accept false on backends without completion support (epoll),
-  // where callers fall back to the readiness API. Submissions are batched:
-  // nothing hits the kernel until the loop's next io_uring_enter, so a
-  // response write + next-request read + accept re-arm ride one syscall.
-
-  virtual bool supports_completions() const { return false; }
-  // One recv into caller-owned [buf, buf+len); cb(bytes or -errno).
-  virtual bool submit_recv(int fd, void* buf, std::size_t len, IoCallback cb);
-  // One sendmsg of a caller-owned msghdr/iovec (MSG_NOSIGNAL applied);
-  // cb(bytes or -errno). The iovec array and the bytes it points at must
-  // outlive the callback.
-  virtual bool submit_sendmsg(int fd, const msghdr* msg, IoCallback cb);
-  // Multishot accept on a listening fd: cb fires once per accepted
-  // connection (SOCK_NONBLOCK|SOCK_CLOEXEC applied) until cancel_fd.
-  virtual bool submit_accept(int listen_fd, AcceptCallback cb);
-  // Cancel every in-flight completion op on `fd` (by op token, so a
-  // concurrently closed/reused fd number cannot be confused) and release the
-  // fd's registered-file slot. Pending callbacks are dropped, not invoked.
-  virtual void cancel_fd(int fd);
 
   // --- timers (loop thread only) --------------------------------------------
 
@@ -122,8 +123,8 @@ class EventLoop {
 
   // --- introspection --------------------------------------------------------
 
-  // Registered fds (excluding the internal wakeup fd). Readable from any
-  // thread (observability gauges); exact only on the loop thread.
+  // Fds registered through add_fd. Readable from any thread; exact only on
+  // the loop thread.
   std::size_t fd_count() const { return fd_count_.load(std::memory_order_relaxed); }
   // Tasks posted but not yet run. Cross-thread approximate.
   std::size_t pending_tasks() const { return pending_tasks_.load(std::memory_order_relaxed); }
@@ -142,9 +143,16 @@ class EventLoop {
   // Run every queued task; exceptions are logged, never unwound into run().
   void drain_tasks();
   void fire_due_timers();
-  // Milliseconds until the next live timer, -1 when none. Pops lazily
-  // cancelled heap heads in place (loop thread only).
-  int next_timeout_ms();
+  // Time until the next live timer (zero when one is due, capped at 60 s),
+  // or nullopt when none is armed. Pops lazily cancelled heap heads in place
+  // (loop thread only). Backends must not wake before it elapses: a wait cut
+  // short would find the timer not yet due and spin until it is.
+  std::optional<std::chrono::nanoseconds> time_to_next_timer();
+  // Delay before a listener parked on descriptor exhaustion accepts again:
+  // long enough to stop the instant-failure spin, short enough to pick
+  // connections back up promptly once fds free.
+  static constexpr std::chrono::milliseconds kAcceptRearmBackoff{50};
+
   // Arm the sleep flag and re-check for work that raced in. Returns false
   // when tasks are already pending or stop was requested — the backend must
   // then poll with a zero timeout instead of blocking. Pair every arm with

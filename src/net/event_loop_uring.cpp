@@ -8,20 +8,16 @@
 //     mapped to a PendingOp. Tokens are never reused, so a CQE for an op
 //     whose fd was closed and recycled can never be misdelivered — the
 //     uring-native form of the epoll backend's (generation, fd) keys.
-//   * The readiness contract (add_fd/mod_fd/del_fd) is emulated with
-//     one-shot IORING_OP_POLL_ADD, re-armed after each delivery. One-shot —
-//     not multishot — poll is deliberate: re-arming re-checks readiness
-//     *levels*, preserving the epoll backend's level-triggered semantics
-//     (multishot poll only fires on wakeups, so a callback that leaves data
-//     unread would stall). Re-arms are SQEs, not syscalls: they ride the
-//     next batched io_uring_enter.
-//   * The data plane uses completion ops proper: submit_recv/submit_sendmsg
-//     one-shot ops into caller-owned buffers, and multishot
-//     IORING_OP_ACCEPT on listeners (downgrading to re-armed one-shot
-//     accept on pre-5.19 kernels that reject the flag with -EINVAL).
+//   * The op contract maps onto SQEs directly: submit_recv/submit_sendmsg
+//     are one-shot ops into caller-owned buffers, submit_accept a multishot
+//     IORING_OP_ACCEPT (downgrading to re-armed one-shot accept on pre-5.19
+//     kernels that reject the flag with -EINVAL). The only POLL_ADD left is
+//     the wakeup eventfd's; the readiness API (add_fd/mod_fd/del_fd) is
+//     epoll-only and throws here.
 //   * One io_uring_enter per loop iteration submits everything queued since
-//     the last iteration and waits with an EXT_ARG timespec computed from
-//     the timer heap — timers cost no timerfd and no extra syscall.
+//     the last iteration and waits with an EXT_ARG timespec holding the
+//     exact time to the next timer — timers cost no timerfd and no extra
+//     syscall.
 //   * Connection fds are auto-registered into a sparse fixed-file table on
 //     first submission (IOSQE_FIXED_FILE thereafter); cancel_fd returns the
 //     slot. Body slabs flow into SQE iovecs directly — no per-request
@@ -29,8 +25,9 @@
 //   * Teardown: cancel_fd marks every op on the fd dead and submits
 //     IORING_OP_ASYNC_CANCEL *by token* (cancel-by-fd would need the fd
 //     still open; the caller is about to close it). Dead ops' CQEs are
-//     swallowed and their callbacks dropped, releasing captured connection
-//     handles.
+//     swallowed and their callbacks dropped; each op's owner is released
+//     only with its terminal CQE, so the kernel never touches freed
+//     buffers.
 #include <linux/io_uring.h>
 #include <poll.h>
 #include <sys/mman.h>
@@ -42,6 +39,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,10 +82,6 @@ void store_release(unsigned* p, unsigned v) {
 constexpr unsigned kSqEntries = 1024;
 constexpr unsigned kCqEntries = 4096;
 constexpr unsigned kFileSlots = 1024;
-// Delay before re-arming accept after EMFILE/ENFILE/ENOBUFS: long enough to
-// stop the instant-completion spin, short enough to pick connections back up
-// promptly once fds free.
-constexpr std::chrono::milliseconds kAcceptRearmBackoff{50};
 
 class UringEventLoop final : public EventLoop {
  public:
@@ -116,12 +110,10 @@ class UringEventLoop final : public EventLoop {
     // Ring-fd close cancels in-flight ops only *asynchronously* (the
     // kernel's exit work), so reap first: once ops_ is empty no submitted
     // op references caller-owned memory (recv buffers, iovec arrays) and
-    // the ops' callbacks (holding connection refs) have released. Whatever
-    // survives the bounded reap is dropped here like the epoll backend's
-    // handlers_ teardown.
+    // the ops' owners (connection refs) have released. Whatever survives the
+    // bounded reap is dropped here, as the epoll backend drops its handlers.
     reap_pending_ops();
     ops_.clear();
-    handlers_.clear();
     if (sqes_ != nullptr) ::munmap(sqes_, sqes_sz_);
     if (cq_ring_ptr_ != nullptr && cq_ring_ptr_ != sq_ring_ptr_) {
       ::munmap(cq_ring_ptr_, cq_ring_sz_);
@@ -131,66 +123,18 @@ class UringEventLoop final : public EventLoop {
   }
 
   const char* backend_name() const override { return "uring"; }
-  bool supports_completions() const override { return true; }
 
-  // --- readiness contract (one-shot poll, re-armed per delivery) ------------
+  // --- readiness API: epoll-only ------------------------------------------
 
-  void add_fd(int fd, std::uint32_t events, FdCallback callback) override {
-    // Re-adding a registered fd: retire the old poll op first so it can't
-    // deliver a stale callback, and don't count the fd twice. (The epoll
-    // backend fails loudly on EEXIST; replacing is the closest this backend
-    // can get without diverging callers that already handled the overwrite.)
-    const auto existing = handlers_.find(fd);
-    const bool replacing = existing != handlers_.end();
-    if (replacing) retire_poll(existing->second.token);
-    FdHandler handler;
-    handler.events = events;
-    handler.token = new_token();
-    handler.callback = std::make_shared<FdCallback>(std::move(callback));
-    PendingOp op;
-    op.kind = OpKind::kPoll;
-    op.fd = fd;
-    op.poll_cb = handler.callback;
-    ops_.emplace(handler.token, std::move(op));
-    prep_poll(fd, events, handler.token);
-    handlers_[fd] = std::move(handler);
-    if (!replacing) fd_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void mod_fd(int fd, std::uint32_t events) override {
-    const auto it = handlers_.find(fd);
-    if (it == handlers_.end()) return;
-    if (it->second.events == events) return;
-    // Retire the old poll op and arm a fresh one under a new token; a CQE
-    // already queued for the old token is dropped as dead.
-    retire_poll(it->second.token);
-    it->second.events = events;
-    it->second.token = new_token();
-    PendingOp op;
-    op.kind = OpKind::kPoll;
-    op.fd = fd;
-    op.poll_cb = it->second.callback;
-    ops_.emplace(it->second.token, std::move(op));
-    prep_poll(fd, events, it->second.token);
-  }
-
-  void del_fd(int fd) override {
-    const auto it = handlers_.find(fd);
-    if (it == handlers_.end()) return;
-    retire_poll(it->second.token);
-    handlers_.erase(it);
-    fd_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  void add_fd(int, std::uint32_t, FdCallback) override { refuse_readiness(); }
+  void mod_fd(int, std::uint32_t) override { refuse_readiness(); }
+  void del_fd(int) override { refuse_readiness(); }
 
   // --- completion ops -------------------------------------------------------
 
-  bool submit_recv(int fd, void* buf, std::size_t len, IoCallback cb) override {
-    const std::uint64_t token = new_token();
-    PendingOp op;
-    op.kind = OpKind::kRecv;
-    op.fd = fd;
-    op.io_cb = std::move(cb);
-    ops_.emplace(token, std::move(op));
+  void submit_recv(int fd, void* buf, std::size_t len, IoCallback cb,
+                   std::shared_ptr<void> owner) override {
+    const std::uint64_t token = track_io(OpKind::kRecv, fd, std::move(cb), std::move(owner));
     io_uring_sqe* sqe = get_sqe();
     sqe->opcode = IORING_OP_RECV;
     set_target_fd(sqe, fd);
@@ -198,16 +142,11 @@ class UringEventLoop final : public EventLoop {
     sqe->len = static_cast<std::uint32_t>(len);
     sqe->user_data = token;
     publish_sqe();
-    return true;
   }
 
-  bool submit_sendmsg(int fd, const msghdr* msg, IoCallback cb) override {
-    const std::uint64_t token = new_token();
-    PendingOp op;
-    op.kind = OpKind::kSend;
-    op.fd = fd;
-    op.io_cb = std::move(cb);
-    ops_.emplace(token, std::move(op));
+  void submit_sendmsg(int fd, const msghdr* msg, IoCallback cb,
+                      std::shared_ptr<void> owner) override {
+    const std::uint64_t token = track_io(OpKind::kSend, fd, std::move(cb), std::move(owner));
     io_uring_sqe* sqe = get_sqe();
     sqe->opcode = IORING_OP_SENDMSG;
     set_target_fd(sqe, fd);
@@ -216,10 +155,9 @@ class UringEventLoop final : public EventLoop {
     sqe->msg_flags = MSG_NOSIGNAL;
     sqe->user_data = token;
     publish_sqe();
-    return true;
   }
 
-  bool submit_accept(int listen_fd, AcceptCallback cb) override {
+  void submit_accept(int listen_fd, AcceptCallback cb) override {
     const std::uint64_t token = new_token();
     PendingOp op;
     op.kind = OpKind::kAccept;
@@ -227,7 +165,6 @@ class UringEventLoop final : public EventLoop {
     op.accept_cb = std::make_shared<AcceptCallback>(std::move(cb));
     ops_.emplace(token, std::move(op));
     prep_accept(listen_fd, token, accept_multishot_ok_);
-    return true;
   }
 
   void cancel_fd(int fd) override {
@@ -235,11 +172,7 @@ class UringEventLoop final : public EventLoop {
     // for would invalidate the iterators (same pattern as reap_pending_ops).
     std::vector<std::uint64_t> doomed;
     for (const auto& [token, op] : ops_) {
-      if (op.fd != fd || op.dead) continue;
-      if (op.kind != OpKind::kRecv && op.kind != OpKind::kSend && op.kind != OpKind::kAccept) {
-        continue;  // poll registrations go through del_fd
-      }
-      doomed.push_back(token);
+      if (op.fd == fd && !op.dead && op.kind != OpKind::kCancel) doomed.push_back(token);
     }
     for (const std::uint64_t token : doomed) {
       const auto it = ops_.find(token);
@@ -262,8 +195,11 @@ class UringEventLoop final : public EventLoop {
       drain_tasks();
       fire_due_timers();
       if (stopping()) break;
-      const int timeout = arm_sleep() ? next_timeout_ms() : 0;
-      enter_and_wait(timeout);
+      if (arm_sleep()) {
+        enter_and_wait(time_to_next_timer());
+      } else {
+        enter_and_wait(std::chrono::nanoseconds::zero());
+      }
       disarm_sleep();
       process_cqes();
     }
@@ -280,10 +216,10 @@ class UringEventLoop final : public EventLoop {
   }
 
  private:
-  enum class OpKind : std::uint8_t { kPoll, kPollRemove, kRecv, kSend, kAccept, kCancel };
+  enum class OpKind : std::uint8_t { kRecv, kSend, kAccept, kCancel };
 
   struct PendingOp {
-    OpKind kind = OpKind::kPoll;
+    OpKind kind = OpKind::kRecv;
     int fd = -1;
     // Deregistered/cancelled: swallow the CQE, never invoke the callback.
     bool dead = false;
@@ -291,20 +227,30 @@ class UringEventLoop final : public EventLoop {
     // out a backoff timer. No CQE will arrive, so teardown paths erase the
     // entry directly instead of submitting a cancel for it.
     bool parked = false;
-    std::shared_ptr<FdCallback> poll_cb;        // kPoll (shared with FdHandler)
     IoCallback io_cb;                           // kRecv / kSend
+    std::shared_ptr<void> owner;                // kRecv / kSend: guards the op's buffers
     std::shared_ptr<AcceptCallback> accept_cb;  // kAccept
-  };
-
-  struct FdHandler {
-    std::uint32_t events = 0;
-    std::uint64_t token = 0;  // current poll op
-    std::shared_ptr<FdCallback> callback;
   };
 
   static constexpr std::uint64_t kWakeToken = 1;
 
   std::uint64_t new_token() { return next_token_++; }
+
+  std::uint64_t track_io(OpKind kind, int fd, IoCallback cb, std::shared_ptr<void> owner) {
+    const std::uint64_t token = new_token();
+    PendingOp op;
+    op.kind = kind;
+    op.fd = fd;
+    op.io_cb = std::move(cb);
+    op.owner = std::move(owner);
+    ops_.emplace(token, std::move(op));
+    return token;
+  }
+
+  [[noreturn]] static void refuse_readiness() {
+    throw InvalidStateError(
+        "io_uring event loop: add_fd/mod_fd/del_fd are epoll-only; use the completion ops");
+  }
 
   void map_rings(const io_uring_params& params) {
     sq_ring_sz_ = params.sq_off.array + params.sq_entries * sizeof(std::uint32_t);
@@ -437,15 +383,6 @@ class UringEventLoop final : public EventLoop {
     fd_slot_.erase(it);
   }
 
-  void prep_poll(int fd, std::uint32_t events, std::uint64_t token) {
-    io_uring_sqe* sqe = get_sqe();
-    sqe->opcode = IORING_OP_POLL_ADD;
-    sqe->fd = fd;  // poll registrations stay on raw fds (del_fd may outlive slots)
-    sqe->poll32_events = events;  // EPOLL* and POLL* share bit values on Linux
-    sqe->user_data = token;
-    publish_sqe();
-  }
-
   void prep_accept(int fd, std::uint64_t token, bool multishot) {
     io_uring_sqe* sqe = get_sqe();
     sqe->opcode = IORING_OP_ACCEPT;
@@ -471,33 +408,10 @@ class UringEventLoop final : public EventLoop {
     publish_sqe();
   }
 
-  void prep_poll_remove(std::uint64_t target_token) {
-    const std::uint64_t token = new_token();
-    PendingOp op;
-    op.kind = OpKind::kPollRemove;
-    ops_.emplace(token, std::move(op));
-    io_uring_sqe* sqe = get_sqe();
-    sqe->opcode = IORING_OP_POLL_REMOVE;
-    sqe->fd = -1;
-    sqe->addr = target_token;
-    sqe->user_data = token;
-    publish_sqe();
-  }
-
-  // Mark a readiness poll op dead and ask the kernel to retire it. Whether
-  // the remove wins or the poll already completed, exactly one terminal CQE
-  // for the token arrives and erases the entry.
-  void retire_poll(std::uint64_t token) {
-    const auto it = ops_.find(token);
-    if (it == ops_.end()) return;
-    it->second.dead = true;
-    prep_poll_remove(token);
-  }
-
   // Shutdown path: cancel every tracked op and drain the ring until each
   // token's terminal CQE has arrived (bounded — a wedged kernel must not
   // wedge shutdown). Dead ops already have a cancel in flight; live ones
-  // (fds the user never deregistered, the armed accept) get one here. Runs
+  // (fds the user never cancelled, the armed accept) get one here. Runs
   // after run()'s final task drain and again from the destructor, where it
   // is idempotent: ops_ is normally already empty.
   void reap_pending_ops() {
@@ -508,7 +422,7 @@ class UringEventLoop final : public EventLoop {
     for (const auto& [token, op] : ops_) {
       if (op.parked) {
         parked.push_back(token);
-      } else if (!op.dead && op.kind != OpKind::kCancel && op.kind != OpKind::kPollRemove) {
+      } else if (!op.dead && op.kind != OpKind::kCancel) {
         live.push_back(token);
       }
     }
@@ -517,17 +431,12 @@ class UringEventLoop final : public EventLoop {
     // letting them hold the reap loop to its deadline.
     for (const std::uint64_t token : parked) ops_.erase(token);
     for (const std::uint64_t token : live) {
-      PendingOp& op = ops_.at(token);
-      op.dead = true;
-      if (op.kind == OpKind::kPoll) {
-        prep_poll_remove(token);
-      } else {
-        prep_cancel(token);
-      }
+      ops_.at(token).dead = true;
+      prep_cancel(token);
     }
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
     while (!ops_.empty() && std::chrono::steady_clock::now() < deadline) {
-      enter_and_wait(20);
+      enter_and_wait(std::chrono::milliseconds(20));
       process_cqes();
     }
     if (!ops_.empty()) {
@@ -547,7 +456,9 @@ class UringEventLoop final : public EventLoop {
 
   // --- the one syscall per iteration ----------------------------------------
 
-  void enter_and_wait(int timeout_ms) {
+  // Submit and wait up to `timeout` (nullopt: until a completion arrives;
+  // zero: just submit and reap).
+  void enter_and_wait(std::optional<std::chrono::nanoseconds> timeout) {
     const unsigned to_submit = sq_pending();
     unsigned flags = IORING_ENTER_GETEVENTS;
     unsigned min_complete = 1;
@@ -555,18 +466,18 @@ class UringEventLoop final : public EventLoop {
     __kernel_timespec ts{};
     const void* argp = nullptr;
     std::size_t argsz = 0;
-    if (timeout_ms == 0) {
+    if (timeout && timeout->count() == 0) {
       min_complete = 0;  // poll: submit + reap whatever is there
     } else {
       flags |= IORING_ENTER_EXT_ARG;
       argp = &arg;
       argsz = sizeof arg;
-      if (timeout_ms > 0) {
-        ts.tv_sec = timeout_ms / 1000;
-        ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1'000'000;
+      if (timeout) {
+        ts.tv_sec = timeout->count() / 1'000'000'000;
+        ts.tv_nsec = timeout->count() % 1'000'000'000;
         arg.ts = reinterpret_cast<std::uint64_t>(&ts);
       }
-      // timeout_ms < 0: arg.ts stays null — wait until an event arrives.
+      // No timeout: arg.ts stays null — wait until an event arrives.
     }
     sys::count(sys::Op::kEnter);
     const int r = sys_io_uring_enter(ring_fd_, to_submit, min_complete, flags, argp, argsz);
@@ -609,67 +520,25 @@ class UringEventLoop final : public EventLoop {
     const auto it = ops_.find(token);
     if (it == ops_.end()) return;  // stale token (already retired)
     switch (it->second.kind) {
-      case OpKind::kPoll:
-        handle_poll_cqe(it, res);
-        return;
       case OpKind::kAccept:
         handle_accept_cqe(it, res, flags);
         return;
       case OpKind::kRecv:
       case OpKind::kSend: {
-        // Extract first: the callback may submit new ops into ops_.
+        // Extract first: the callback may submit new ops into ops_. The
+        // node (and the owner it holds) dies after the callback returns.
         auto node = ops_.extract(it);
         if (!node.mapped().dead && node.mapped().io_cb) {
           invoke_io(node.mapped().io_cb, res);
         }
         return;
       }
-      case OpKind::kPollRemove:
       case OpKind::kCancel:
         // Result is advisory (-ENOENT when the target op had already
         // completed); the target's own terminal CQE does the cleanup.
         ops_.erase(it);
         return;
     }
-  }
-
-  void handle_poll_cqe(std::unordered_map<std::uint64_t, PendingOp>::iterator it, int res) {
-    const std::uint64_t token = it->first;
-    const int fd = it->second.fd;
-    if (it->second.dead) {
-      ops_.erase(it);
-      return;
-    }
-    if (res == -EINVAL) {
-      // Shouldn't happen for plain one-shot poll; drop the registration
-      // rather than spin.
-      log_error("net.uring") << "poll rejected for fd " << fd;
-      ops_.erase(it);
-      return;
-    }
-    if (res > 0) {
-      const std::shared_ptr<FdCallback> cb = it->second.poll_cb;
-      try {
-        (*cb)(static_cast<std::uint32_t>(res));
-      } catch (const std::exception& e) {
-        log_error("net.loop") << "fd callback threw: " << e.what();
-      }
-    }
-    // One-shot: re-arm (same token) iff the registration survived the
-    // callback — it may have del_fd'd itself or re-registered under a new
-    // token. Re-arming re-checks the readiness level, so un-drained data
-    // fires again exactly like level-triggered epoll.
-    const auto op_it = ops_.find(token);
-    if (op_it == ops_.end() || op_it->second.dead) {
-      if (op_it != ops_.end()) ops_.erase(op_it);
-      return;
-    }
-    const auto handler_it = handlers_.find(fd);
-    if (handler_it == handlers_.end() || handler_it->second.token != token) {
-      ops_.erase(op_it);
-      return;
-    }
-    prep_poll(fd, handler_it->second.events, token);
   }
 
   void handle_accept_cqe(std::unordered_map<std::uint64_t, PendingOp>::iterator it, int res,
@@ -702,7 +571,7 @@ class UringEventLoop final : public EventLoop {
     } else if (res < 0) {
       // Transient accept failure (EMFILE burst, aborted handshake). Log and
       // fall through to the re-arm below; the op itself has terminated.
-      log_warn("net.uring") << "accept failed: " << std::strerror(-res);
+      log_warn("net.loop") << "accept: " << std::strerror(-res);
     }
     if (more) return;  // multishot still armed
     // Terminal CQE (one-shot accept, downgrade, or multishot ended e.g. on
@@ -763,7 +632,6 @@ class UringEventLoop final : public EventLoop {
   unsigned local_sq_tail_ = 0;
 
   std::unordered_map<std::uint64_t, PendingOp> ops_;
-  std::unordered_map<int, FdHandler> handlers_;
   std::uint64_t next_token_ = kWakeToken + 1;
 
   bool accept_multishot_ok_ = true;
@@ -793,8 +661,7 @@ bool uring_supported() {
           return op <= probe->last_op &&
                  (probe->ops[op].flags & IO_URING_OP_SUPPORTED) != 0;
         };
-        ok = has(IORING_OP_POLL_ADD) && has(IORING_OP_POLL_REMOVE) &&
-             has(IORING_OP_RECV) && has(IORING_OP_SENDMSG) && has(IORING_OP_ACCEPT) &&
+        ok = has(IORING_OP_POLL_ADD) && has(IORING_OP_RECV) && has(IORING_OP_SENDMSG) && has(IORING_OP_ACCEPT) &&
              has(IORING_OP_ASYNC_CANCEL);
       }
       // A failing probe (pre-5.6) leaves ok false via the feature check on

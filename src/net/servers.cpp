@@ -2,7 +2,6 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
@@ -23,19 +22,19 @@
 namespace appx::net {
 namespace {
 
-constexpr std::size_t kReadChunk = 16 * 1024;
-// Completion-mode read buffer: a per-connection member (it must outlive the
-// in-flight recv op), so sized for requests rather than throughput — 4 KiB
-// keeps 10k connections at ~40 MB instead of 160 MB.
-constexpr std::size_t kCompletionReadChunk = 4 * 1024;
+// Read buffer: a per-connection member (it must outlive the in-flight recv
+// op), so sized for requests rather than throughput — 4 KiB keeps 10k
+// connections at ~40 MB instead of 160 MB.
+constexpr std::size_t kReadChunk = 4 * 1024;
 // Max chunks per sendmsg batch; a response is at most head + body, so 8
 // covers several pipelined responses in one syscall.
 constexpr std::size_t kMaxIov = 8;
 // While a request is in flight, pipelined bytes keep flowing into the
 // parser's staging buffer (under pin()) up to this budget; only a client
-// flooding past it has read interest dropped (and the kernel socket buffer
-// backpressures it). Keeping the mask stable this way removes the
-// epoll_ctl(MOD) pair every request used to pay.
+// flooding past it stops being read (and the kernel socket buffer
+// backpressures it). Keeping a recv posted across requests is what keeps
+// the epoll backend's EPOLLIN registration stable (no per-request
+// epoll_ctl).
 constexpr std::size_t kMaxStagedBytes = 64 * 1024;
 // After rejecting a message (431/413) we half-close and keep draining the
 // peer's in-flight bytes this long so the FIN carries the status cleanly.
@@ -140,7 +139,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
         dispatch_(std::move(dispatch)),
         on_closed_(std::move(on_closed)),
         first_byte_hist_(first_byte_hist),
-        completion_(loop->supports_completions()),
         last_activity_(std::chrono::steady_clock::now()),
         accepted_(last_activity_) {}
 
@@ -149,16 +147,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
   // Per-(connection, user) resolved engine sessions (see LiveProxyServer).
   std::map<std::string, core::Session, std::less<>> sessions;
 
-  // Loop thread: register with the loop (completion mode: submit the first
-  // recv instead — no readiness registration exists) and arm the idle timer.
+  // Loop thread: post the first recv and arm the idle timer.
   void start() {
-    if (completion_) {
-      submit_read();
-    } else {
-      events_ = EPOLLIN;
-      loop_->add_fd(fd(), events_,
-                    [self = shared_from_this()](std::uint32_t ev) { self->on_events(ev); });
-    }
+    submit_read();
     arm_idle_timer(last_activity_ + std::chrono::microseconds(idle_timeout_));
   }
 
@@ -210,63 +201,29 @@ class Conn : public std::enable_shared_from_this<Conn> {
   void close_now() { close(); }
 
  private:
-  void on_events(std::uint32_t ev) {
-    if ((ev & EPOLLERR) != 0) {
-      close();
-      return;
-    }
-    if ((ev & (EPOLLIN | EPOLLHUP)) != 0) handle_readable();
-    if (!closed_ && (ev & EPOLLOUT) != 0) flush();
-    if (closed_) return;
-    pump();
-    finish_io_round();
-  }
-
-  // Drain the socket. Bytes feed the parser; in discard mode (after a
-  // 431/413) they are sunk unparsed. A short read means the buffer out-ran
-  // the socket: stop there instead of paying a recv that would return EAGAIN
-  // — level-triggered epoll re-reports anything that arrives later.
-  void handle_readable() {
-    char buf[kReadChunk];
-    while (!closed_) {
-      sys::count(sys::Op::kRead);
-      const ssize_t n = ::recv(fd(), buf, sizeof buf, 0);
-      if (n > 0) {
-        if (!discarding_) parser_.append(buf, static_cast<std::size_t>(n));
-        if (static_cast<std::size_t>(n) < sizeof buf) return;
-        continue;
-      }
-      if (n == 0) {
-        peer_eof_ = true;
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      close();
-      return;
-    }
-  }
-
-  // --- completion-mode I/O (uring backend) ----------------------------------
+  // --- socket I/O ----------------------------------------------------------
   //
-  // The same state machine as the readiness path, but driven by op
-  // completions: exactly one recv and at most one sendmsg are in flight per
-  // connection at any time, their buffers owned by the connection (DESIGN.md
-  // §5l). Submissions batch into the loop's next io_uring_enter.
+  // Driven by completion ops on either backend: exactly one recv and at most
+  // one sendmsg are in flight per connection at any time, their buffers
+  // owned by the connection (DESIGN.md §5l). Each op carries the connection
+  // as its owner, so the loop keeps it — and those buffers — alive until the
+  // op retires; the callbacks themselves capture only `this`, which fits
+  // std::function's inline storage, so an exchange allocates nothing for
+  // I/O.
 
   void submit_read() {
     if (closed_ || read_inflight_ || !want_read()) return;
-    if (rbuf_ == nullptr) rbuf_ = std::make_unique<char[]>(kCompletionReadChunk);
     read_inflight_ = true;
-    loop_->submit_recv(fd(), rbuf_.get(), kCompletionReadChunk,
-                       [self = shared_from_this()](int res) { self->on_read_complete(res); });
+    loop_->submit_recv(
+        fd(), rbuf_, sizeof rbuf_, [this](int res) { on_read_complete(res); },
+        shared_from_this());
   }
 
   void on_read_complete(int res) {
     read_inflight_ = false;
     if (closed_) return;
     if (res > 0) {
-      if (!discarding_) parser_.append(rbuf_.get(), static_cast<std::size_t>(res));
+      if (!discarding_) parser_.append(rbuf_, static_cast<std::size_t>(res));
     } else if (res == 0) {
       peer_eof_ = true;
     } else if (res == -ECANCELED || res == -EBADF) {
@@ -280,8 +237,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
     finish_io_round();
   }
 
-  // One sendmsg op over the head of the pending-write queue. The iovec array
-  // and msghdr are members: the kernel reads them after this frame returns.
+  // One sendmsg op over the head of the pending-write queue, batching chunks
+  // (response head + body, plus any pipelined successors). The iovec array
+  // and msghdr are members: the kernel may read them after this returns.
   void submit_write() {
     if (closed_ || write_inflight_ || out_.empty()) return;
     std::size_t niov = 0;
@@ -298,8 +256,8 @@ class Conn : public std::enable_shared_from_this<Conn> {
     wmsg_.msg_iov = wiov_;
     wmsg_.msg_iovlen = niov;
     write_inflight_ = true;
-    loop_->submit_sendmsg(fd(), &wmsg_,
-                          [self = shared_from_this()](int res) { self->on_write_complete(res); });
+    loop_->submit_sendmsg(
+        fd(), &wmsg_, [this](int res) { on_write_complete(res); }, shared_from_this());
   }
 
   void on_write_complete(int res) {
@@ -357,8 +315,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
       touch();
       processing_ = true;
       // Pin the buffer under the outstanding views: bytes arriving while the
-      // request is in flight (EPOLLHUP-driven drains read even with EPOLLIN
-      // masked off) are staged aside instead of reallocating it.
+      // request is in flight are staged aside instead of reallocating it.
       parser_.pin();
       dispatch_(shared_from_this());
     }
@@ -372,7 +329,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
     out_.push_back(OutChunk::canned(canned_reject_wire(status)));
     discarding_ = true;
     parser_.reset();
-    flush();
+    submit_write();
   }
 
   // Loop thread: append the response for the in-flight request and resume
@@ -386,47 +343,10 @@ class Conn : public std::enable_shared_from_this<Conn> {
     out_.push_back(OutChunk::head(std::move(head)));
     if (!response.body.empty()) out_.push_back(OutChunk::body(response.body));
     touch();
-    flush();
+    submit_write();
     if (closed_) return;
     pump();
     finish_io_round();
-  }
-
-  // Write as much of the pending queue as the socket accepts, batching
-  // chunks (response head + body, plus any pipelined successors) into one
-  // sendmsg. EAGAIN leaves the rest for EPOLLOUT. Completion mode submits
-  // the batch as an op instead and continues from on_write_complete.
-  void flush() {
-    if (completion_) {
-      submit_write();
-      return;
-    }
-    while (!out_.empty() && !closed_) {
-      struct iovec iov[kMaxIov];
-      std::size_t niov = 0;
-      std::size_t offset = out_off_;
-      for (const OutChunk& chunk : out_) {
-        if (niov == kMaxIov) break;
-        const std::string_view bytes = chunk.bytes();
-        iov[niov].iov_base = const_cast<char*>(bytes.data() + offset);
-        iov[niov].iov_len = bytes.size() - offset;
-        ++niov;
-        offset = 0;
-      }
-      struct msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = niov;
-      sys::count(sys::Op::kWrite);
-      const ssize_t n = ::sendmsg(fd(), &msg, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        close();
-        return;
-      }
-      record_first_byte(n);
-      consume_out(static_cast<std::size_t>(n));
-    }
   }
 
   void record_first_byte(ssize_t n) {
@@ -457,8 +377,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
   }
 
   // End-of-round bookkeeping: progress the discard sequence, close on
-  // drained EOF, and reconcile read interest (epoll mask / next recv op)
-  // with what we now want.
+  // drained EOF, and post the next recv if we still want to read.
   void finish_io_round() {
     if (closed_) return;
     if (discarding_ && out_.empty() && !write_inflight_ && !write_shutdown_) {
@@ -471,32 +390,18 @@ class Conn : public std::enable_shared_from_this<Conn> {
       close();
       return;
     }
-    if (completion_) {
-      submit_read();
-    } else {
-      update_events();
-    }
+    submit_read();
   }
 
   // Reading continues while a request is being processed — pipelined bytes
-  // stage under the parser pin, so the read mask stays stable and the warm
-  // path pays no epoll_ctl — until the staged budget is exhausted; past it a
-  // flooding client loses read interest and the kernel socket buffer
+  // stage under the parser pin — until the staged budget is exhausted; past
+  // it a flooding client is no longer read and the kernel socket buffer
   // backpressures it (the blocking runtime's behaviour, one budget later).
   // Discard mode always reads, to drain the rejected message.
   bool want_read() const {
     if (peer_eof_) return false;
     if (discarding_) return true;
     return !processing_ || parser_.pending_bytes() < kMaxStagedBytes;
-  }
-
-  void update_events() {
-    const std::uint32_t desired =
-        (want_read() ? static_cast<std::uint32_t>(EPOLLIN) : 0U) |
-        (!out_.empty() ? static_cast<std::uint32_t>(EPOLLOUT) : 0U);
-    if (desired == events_) return;
-    events_ = desired;
-    loop_->mod_fd(fd(), desired);
   }
 
   void touch() { last_activity_ = std::chrono::steady_clock::now(); }
@@ -582,18 +487,14 @@ class Conn : public std::enable_shared_from_this<Conn> {
       drain_timer_ = 0;
     }
     const int conn_fd = fd();
-    if (completion_) {
-      // Cancel in-flight ops (their callbacks are dropped, the loop swallows
-      // the CQEs) and release the registered-file slot before the fd closes.
-      loop_->cancel_fd(conn_fd);
-    } else {
-      loop_->del_fd(conn_fd);
-    }
+    // Drop in-flight ops (their callbacks never run) and release the fd's
+    // loop state before the descriptor closes.
+    loop_->cancel_fd(conn_fd);
     stream_ = TcpStream(Fd{});  // close the descriptor now, not at last ref
-    // A submitted sendmsg op still references out_'s bytes and the member
-    // iovecs; its pending callback holds a ref on this Conn past the CQE, so
-    // deferring the clear to the destructor is what keeps the kernel's view
-    // of those buffers valid.
+    // A cancelled sendmsg may still be in the kernel's hands (uring) and
+    // reference out_'s bytes and the member iovecs; the op owns a ref on
+    // this Conn until it retires, so deferring the clear to the destructor
+    // is what keeps the kernel's view of those buffers valid.
     if (!write_inflight_) out_.clear();
     if (on_closed_) on_closed_(conn_fd);
   }
@@ -619,15 +520,11 @@ class Conn : public std::enable_shared_from_this<Conn> {
   std::deque<OutChunk> out_;
   std::vector<std::string> head_pool_;
   std::size_t out_off_ = 0;  // bytes of out_.front() already written
-  std::uint32_t events_ = 0;
 
-  // Completion-mode state: op buffers owned by the connection so they
-  // outlive the in-flight kernel ops (allocated lazily; epoll conns never
-  // touch them).
-  const bool completion_;
+  // Op buffers, owned by the connection so they outlive the in-flight ops.
   bool read_inflight_ = false;
   bool write_inflight_ = false;
-  std::unique_ptr<char[]> rbuf_;
+  char rbuf_[kReadChunk];
   struct iovec wiov_[kMaxIov];
   struct msghdr wmsg_{};
 
@@ -644,20 +541,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
 };
 
 namespace {
-
-// Level-triggered accept: drain every pending connection on the shard's
-// listener. make_conn returns null to refuse (server stopping).
-template <typename MakeConn>
-void accept_pending(LoopShard* shard, const MakeConn& make_conn) {
-  while (true) {
-    TcpStream stream = shard->listener->accept_nonblocking();
-    if (!stream.valid()) return;
-    std::shared_ptr<Conn> conn = make_conn(shard, std::move(stream));
-    if (conn == nullptr) continue;
-    shard->conns[conn->fd()] = conn;
-    conn->start();
-  }
-}
 
 // Build one SO_REUSEPORT listener per shard on the shared port (the first
 // binds it, possibly ephemeral) and start each shard's loop thread with its
@@ -684,28 +567,19 @@ std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
   }
   for (auto& shard_ptr : shards) {
     LoopShard* shard = shard_ptr.get();
-    // Registration happens on the loop thread itself (fd/timer state is
-    // loop-thread-only), before run() starts dispatching. A completion
-    // backend takes the multishot-accept path: the kernel hands over ready
-    // client fds with no readiness round-trip and no accept4 from us.
+    // Registration happens on the loop thread itself (op/timer state is
+    // loop-thread-only), before run() starts dispatching. make_conn returns
+    // null to refuse a connection (server stopping).
     shard->thread = std::thread([shard, make_conn] {
-      const int listen_fd = shard->listener->fd();
-      const bool completion =
-          shard->loop->submit_accept(listen_fd, [shard, make_conn](int client_fd) {
-            // SOCK_NONBLOCK|SOCK_CLOEXEC were applied by the accept op;
-            // TCP_NODELAY matches accept_nonblocking().
-            const int one = 1;
-            ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-            std::shared_ptr<Conn> conn = make_conn(shard, TcpStream(Fd(client_fd)));
-            if (conn == nullptr) return;
-            shard->conns[conn->fd()] = conn;
-            conn->start();
-          });
-      if (!completion) {
-        shard->loop->add_fd(listen_fd, EPOLLIN, [shard, make_conn](std::uint32_t) {
-          accept_pending(shard, make_conn);
-        });
-      }
+      shard->loop->submit_accept(shard->listener->fd(), [shard, make_conn](int client_fd) {
+        // SOCK_NONBLOCK|SOCK_CLOEXEC were applied by the accept op.
+        const int one = 1;
+        ::setsockopt(client_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        std::shared_ptr<Conn> conn = make_conn(shard, TcpStream(Fd(client_fd)));
+        if (conn == nullptr) return;
+        shard->conns[conn->fd()] = conn;
+        conn->start();
+      });
       shard->loop->run();
     });
   }
@@ -719,9 +593,7 @@ void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards) {
     LoopShard* shard = shard_ptr.get();
     shard->loop->post([shard] {
       if (shard->listener) {
-        const int listen_fd = shard->listener->fd();
-        shard->loop->del_fd(listen_fd);     // readiness accept path
-        shard->loop->cancel_fd(listen_fd);  // completion accept path (no-op on epoll)
+        shard->loop->cancel_fd(shard->listener->fd());
         shard->listener->close();
       }
       std::vector<std::shared_ptr<Conn>> conns;
@@ -771,11 +643,6 @@ void WorkerPool::stop() {
     if (t.joinable()) t.join();
   }
   // `discarded` destructs here, releasing captured connection handles.
-}
-
-std::size_t WorkerPool::queue_depth() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 void WorkerPool::worker() {

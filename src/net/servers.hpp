@@ -16,18 +16,19 @@
 // Network runtime (replacing the seed's thread-per-connection servers):
 //   * N event-loop threads (EngineOptions.loop_threads, default
 //     hardware_concurrency), each owning one event loop
-//     (EngineOptions.io_backend: epoll readiness or io_uring completion,
-//     DESIGN.md §5l) and one SO_REUSEPORT listener on the shared port — the
-//     kernel shards accepted connections across loops, no accept lock, no
-//     per-connection thread.
-//   * Each connection is a non-blocking Conn state machine pinned to its
-//     loop: reads feed an incremental HttpParser (one scratch buffer per
-//     connection, reused across keep-alive requests), responses drain
-//     through a pending-write queue flushed with writev (head + body leave
-//     in one syscall), and a timer-heap idle timeout reaps silent or
-//     slow-loris connections. On the uring backend the same state machine
-//     runs on completion ops (submit_recv/submit_sendmsg, multishot accept):
-//     a whole warm exchange rides one batched io_uring_enter.
+//     (EngineOptions.io_backend: epoll or io_uring, DESIGN.md §5l) and one
+//     SO_REUSEPORT listener on the shared port — the kernel shards accepted
+//     connections across loops, no accept lock, no per-connection thread.
+//   * All socket I/O is one model on either backend: completion ops
+//     (submit_accept, submit_recv, submit_sendmsg, cancel_fd). Each
+//     connection is a non-blocking Conn state machine pinned to its loop
+//     with one recv and at most one sendmsg in flight: reads feed an
+//     incremental HttpParser (one scratch buffer per connection, reused
+//     across keep-alive requests), responses drain through a pending-write
+//     queue sent with sendmsg (head + body leave in one op), and a
+//     timer-heap idle timeout reaps silent or slow-loris connections. On
+//     uring a whole warm exchange rides one batched io_uring_enter; on epoll
+//     it is one recv per readiness and one inline sendmsg.
 //   * Engine events and blocking upstream I/O never run on a loop thread:
 //     complete requests are handed to EngineOptions.request_workers threads
 //     that drive the session API (shard mutexes can block a worker, never a
@@ -41,7 +42,8 @@
 //   * Upstream fetches carry connect/read/write timeouts and a per-request
 //     deadline; a dead origin degrades to a 504 instead of hanging a worker.
 //   * Prefetching runs on N workers over a shared bounded queue with
-//     per-user ordering; overflow drops the oldest job back to the engine.
+//     per-user ordering; overflow sheds the lowest-priority job (the oldest
+//     among ties) back to the engine.
 //   * stop() closes listeners and live connections, unblocks in-flight
 //     upstream fetches via the pool, and joins every thread.
 #pragma once
@@ -94,12 +96,11 @@ class WorkerPool {
   ~WorkerPool();
   void submit(std::function<void()> task);
   void stop();
-  std::size_t queue_depth() const;
 
  private:
   void worker();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
@@ -177,6 +178,9 @@ class LiveProxyServer {
   std::size_t prefetch_jobs_dropped() const { return queue_dropped_.load(); }
   // The shared origin-side keep-alive pool (reuse/connect/stale counters).
   const UpstreamPool& upstream_pool() const { return *pool_; }
+  // Reactor `index`'s event loop (index < loop_thread_count()), e.g. for
+  // posting a measurement task onto its thread.
+  EventLoop& loop(std::size_t index) const { return *shards_.at(index)->loop; }
 
   // The registry scraped at /appx/metrics: the engine's own registry when it
   // has one (ProxyEngine / ShardedProxyEngine), otherwise a server-local
@@ -203,8 +207,9 @@ class LiveProxyServer {
   std::vector<std::uint8_t> serialize_engine_state();
   void restore_engine_state();
   void prefetch_worker();
-  // Queue the jobs an engine event decided to issue; overflow drops the
-  // oldest queued job back into the engine (outstanding window released).
+  // Queue the jobs an engine event decided to issue; overflow sheds the
+  // lowest-priority queued job, the oldest among ties, back into the engine
+  // (outstanding window released).
   void enqueue_jobs(std::vector<core::PrefetchJob> jobs);
   // Serialises engine access for engines that need it; returns an unlocked
   // (empty) guard when the engine synchronises itself (ShardedProxyEngine),

@@ -2,6 +2,8 @@
 // the live proxy, HTTP framing, and the end-to-end acceleration flow over
 // actual TCP connections.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/resource.h>
@@ -10,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <map>
@@ -27,6 +30,7 @@
 #include "net/event_loop.hpp"
 #include "net/rlimit.hpp"
 #include "net/servers.hpp"
+#include "net/syscount.hpp"
 #include "util/error.hpp"
 
 namespace appx::net {
@@ -1109,11 +1113,13 @@ TEST_F(LiveProxyTest, CacheMarkersDoNotAccumulateOnTheStoredResponse) {
 
 // --- EventLoop conformance suite (DESIGN.md §5g/§5l) ------------------------
 //
-// Both backends must honor the same contract: level-triggered fd masks,
-// del_fd-from-own-callback safety, stale events for deleted handlers dropped,
-// timer lazy-cancel, cross-thread post with the stop-with-final-drain
-// guarantee. The suite runs once per backend; the uring instantiation skips
-// on kernels without io_uring support.
+// Both backends must honor the same contract: the completion ops the
+// servers run on (caller-owned buffers, partial sends, accept, cancel_fd
+// dropping undelivered results), timers that never fire early nor busy-poll,
+// cross-thread post with the stop-with-final-drain guarantee, and accept
+// backoff on descriptor exhaustion. The suite runs once per backend; the
+// uring instantiation skips on kernels without io_uring support. The
+// readiness API (add_fd/mod_fd/del_fd) is epoll-only: see EpollReadiness.
 
 // Polls `cond` until true or the deadline passes.
 bool wait_for_cond(const std::function<bool()>& cond,
@@ -1126,24 +1132,22 @@ bool wait_for_cond(const std::function<bool()>& cond,
   return true;
 }
 
-class EventLoopConformance : public ::testing::TestWithParam<const char*> {
+// One event loop running on a background thread for the length of a test.
+class LoopHarness {
  protected:
-  void SetUp() override {
-    if (GetParam() == std::string_view("uring") && !uring_supported()) {
-      GTEST_SKIP() << "kernel lacks io_uring support (or APPX_NO_URING=1)";
-    }
-    loop_ = make_event_loop(GetParam());
+  void start_loop(std::string_view backend) {
+    loop_ = make_event_loop(backend);
     runner_ = std::thread([this] { loop_->run(); });
   }
 
-  void TearDown() override {
+  void stop_loop() {
     if (loop_ && runner_.joinable()) {
       loop_->stop();
       runner_.join();
     }
   }
 
-  // Runs `fn` on the loop thread and waits for it to finish (the fd and
+  // Runs `fn` on the loop thread and waits for it to finish (the op, fd and
   // timer APIs are loop-thread-only).
   void on_loop(std::function<void()> fn) {
     std::promise<void> done;
@@ -1170,6 +1174,19 @@ class EventLoopConformance : public ::testing::TestWithParam<const char*> {
   std::thread runner_;
 };
 
+class EventLoopConformance : public ::testing::TestWithParam<const char*>,
+                             protected LoopHarness {
+ protected:
+  void SetUp() override {
+    if (GetParam() == std::string_view("uring") && !uring_supported()) {
+      GTEST_SKIP() << "kernel lacks io_uring support (or APPX_NO_URING=1)";
+    }
+    start_loop(GetParam());
+  }
+
+  void TearDown() override { stop_loop(); }
+};
+
 TEST_P(EventLoopConformance, ReportsItsBackendName) {
   EXPECT_EQ(loop_->backend_name(), std::string_view(GetParam()));
 }
@@ -1186,7 +1203,321 @@ TEST_P(EventLoopConformance, StopDrainsTasksQueuedWithIt) {
   EXPECT_TRUE(final_task_ran.load());
 }
 
-TEST_P(EventLoopConformance, DelFdFromOwnCallbackIsSafe) {
+TEST_P(EventLoopConformance, CancelledTimerNeverFires) {
+  std::atomic<bool> cancelled_ran{false};
+  std::atomic<bool> kept_ran{false};
+  on_loop([&] {
+    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t id =
+        loop_->add_timer(now + std::chrono::milliseconds(20), [&] { cancelled_ran.store(true); });
+    loop_->add_timer(now + std::chrono::milliseconds(60), [&] { kept_ran.store(true); });
+    loop_->cancel_timer(id);  // lazy: the heap entry stays, the task must not run
+  });
+  ASSERT_TRUE(wait_for_cond([&] { return kept_ran.load(); }));
+  EXPECT_FALSE(cancelled_ran.load());
+}
+
+TEST_P(EventLoopConformance, TimersNeitherFireEarlyNorBusyPoll) {
+  // Regression: the wait timeout used to truncate the time left to whole
+  // milliseconds, so the last sub-millisecond before every timer ran as
+  // zero-timeout waits — hundreds of epoll_wait/io_uring_enter calls per
+  // firing of a 50.3 ms timer.
+  constexpr int kFirings = 10;
+  const auto period = std::chrono::microseconds(50'300);
+  int fired = 0;
+  int early = 0;
+  sys::Counters start;
+  sys::Counters end;
+  std::atomic<bool> finished{false};
+  std::function<void()> arm = [&] {
+    const auto due = std::chrono::steady_clock::now() + period;
+    loop_->add_timer(due, [&, due] {
+      if (std::chrono::steady_clock::now() < due) ++early;
+      if (++fired < kFirings) {
+        arm();
+        return;
+      }
+      end = sys::snapshot();
+      finished.store(true);
+    });
+  };
+  on_loop([&] {
+    start = sys::snapshot();
+    arm();
+  });
+  ASSERT_TRUE(wait_for_cond([&] { return finished.load(); }));
+  const sys::Counters d = end - start;
+  EXPECT_EQ(early, 0);
+  EXPECT_LE(d.wait + d.enter, 3u * kFirings)
+      << "waits " << d.wait << ", enters " << d.enter << " for " << kFirings << " firings";
+}
+
+TEST_P(EventLoopConformance, PostFromManyThreadsRunsEveryTask) {
+  // Hammers the armed-flag wake elision: coalesced wakeups must never lose a
+  // task, whatever the interleaving of posters and sleep cycles.
+  constexpr int kThreads = 8;
+  constexpr int kPostsPerThread = 500;
+  std::atomic<int> ran{0};
+  std::vector<std::thread> posters;
+  posters.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&] {
+      for (int i = 0; i < kPostsPerThread; ++i) loop_->post([&] { ran.fetch_add(1); });
+    });
+  }
+  for (std::thread& t : posters) t.join();
+  ASSERT_TRUE(wait_for_cond([&] { return ran.load() == kThreads * kPostsPerThread; }));
+  EXPECT_EQ(loop_->pending_tasks(), 0u);
+}
+
+TEST_P(EventLoopConformance, RecvSendmsgRoundTripOnCallerOwnedBuffers) {
+  Pair pair;
+
+  // recv completes with the bytes the peer wrote into the caller's buffer.
+  char buf[16] = {};
+  std::promise<int> recv_res;
+  on_loop([&] {
+    loop_->submit_recv(pair.fds[0], buf, sizeof buf, [&](int res) { recv_res.set_value(res); });
+  });
+  ASSERT_EQ(::write(pair.fds[1], "ping", 4), 4);
+  ASSERT_EQ(recv_res.get_future().get(), 4);
+  EXPECT_EQ(std::string_view(buf, 4), "ping");
+
+  // sendmsg of a caller-owned iovec lands on the peer.
+  const char reply[] = "pong!";
+  struct iovec iov { const_cast<char*>(reply), 5 };
+  struct msghdr msg {};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  std::promise<int> send_res;
+  on_loop([&] {
+    loop_->submit_sendmsg(pair.fds[0], &msg, [&](int res) { send_res.set_value(res); });
+  });
+  ASSERT_EQ(send_res.get_future().get(), 5);
+  char peer[16] = {};
+  ASSERT_EQ(::read(pair.fds[1], peer, sizeof peer), 5);
+  EXPECT_EQ(std::string_view(peer, 5), "pong!");
+
+  // cancel_fd drops a parked recv without invoking its callback.
+  std::atomic<bool> cancelled_cb_ran{false};
+  on_loop([&] {
+    loop_->submit_recv(pair.fds[0], buf, sizeof buf, [&](int) { cancelled_cb_ran.store(true); });
+  });
+  on_loop([&] { loop_->cancel_fd(pair.fds[0]); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(cancelled_cb_ran.load());
+}
+
+TEST_P(EventLoopConformance, SubmitRecvIssuesNoRecvUntilTheFdIsReadable) {
+  // The epoll emulation parks the op on readiness: no speculative recv
+  // inside the submit, none while the fd is quiet, one once it is readable.
+  Pair pair;
+  char buf[8];
+  std::atomic<int> result{-1000};
+  sys::Counters submitted;
+  on_loop([&] {
+    const sys::Counters before = sys::snapshot();
+    loop_->submit_recv(pair.fds[0], buf, sizeof buf, [&](int res) { result.store(res); });
+    submitted = sys::snapshot();
+    EXPECT_EQ(submitted.read - before.read, 0u);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(sys::snapshot().read - submitted.read, 0u);
+  EXPECT_EQ(result.load(), -1000);
+  pair.poke();
+  ASSERT_TRUE(wait_for_cond([&] { return result.load() == 1; }));
+  on_loop([&] { loop_->cancel_fd(pair.fds[0]); });
+}
+
+TEST_P(EventLoopConformance, SendmsgLargerThanTheSendBufferCompletesThroughPartialResults) {
+  Pair pair;
+  const int flags = ::fcntl(pair.fds[0], F_GETFL, 0);
+  ASSERT_EQ(::fcntl(pair.fds[0], F_SETFL, flags | O_NONBLOCK), 0);
+  const int sndbuf = 16 * 1024;
+  ASSERT_EQ(::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf), 0);
+  std::string payload(1 << 20, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<char>('a' + i % 26);
+
+  std::size_t sent = 0;
+  std::size_t first = 0;
+  int completions = 0;
+  int error = 0;
+  struct iovec iov {};
+  struct msghdr msg {};
+  std::promise<void> done;
+  std::function<void()> send_rest = [&] {
+    iov.iov_base = payload.data() + sent;
+    iov.iov_len = payload.size() - sent;
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    loop_->submit_sendmsg(pair.fds[0], &msg, [&](int res) {
+      if (res <= 0) {
+        error = res;
+        done.set_value();
+        return;
+      }
+      if (completions++ == 0) first = static_cast<std::size_t>(res);
+      sent += static_cast<std::size_t>(res);
+      if (sent == payload.size()) {
+        done.set_value();
+      } else {
+        send_rest();
+      }
+    });
+  };
+  on_loop(send_rest);
+  std::string received;
+  char chunk[64 * 1024];
+  while (received.size() < payload.size()) {
+    const ssize_t n = ::read(pair.fds[1], chunk, sizeof chunk);
+    ASSERT_GT(n, 0);
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  done.get_future().wait();
+  EXPECT_EQ(error, 0);
+  EXPECT_LT(first, payload.size());
+  EXPECT_GT(completions, 1);
+  EXPECT_TRUE(received == payload);
+  // Barrier: the loop releases the fd before ~Pair closes it.
+  on_loop([&] { loop_->cancel_fd(pair.fds[0]); });
+}
+
+TEST_P(EventLoopConformance, CancelFdFromAnotherCallbackDropsACompletionReadyInTheSameBatch) {
+  // Both recvs have their data before the loop next looks, so their results
+  // arrive in one batch; whichever callback runs first cancels the other
+  // fd. The other result is already in hand and must be dropped.
+  Pair a;
+  Pair b;
+  char abuf[8];
+  char bbuf[8];
+  std::atomic<int> fires{0};
+  on_loop([&] {
+    loop_->submit_recv(a.fds[0], abuf, sizeof abuf, [&](int) {
+      fires.fetch_add(1);
+      loop_->cancel_fd(b.fds[0]);
+    });
+    loop_->submit_recv(b.fds[0], bbuf, sizeof bbuf, [&](int) {
+      fires.fetch_add(1);
+      loop_->cancel_fd(a.fds[0]);
+    });
+    a.poke();
+    b.poke();
+  });
+  ASSERT_TRUE(wait_for_cond([&] { return fires.load() >= 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(fires.load(), 1);
+  // Barrier: the loop releases both fds before the Pairs close them.
+  on_loop([&] {
+    loop_->cancel_fd(a.fds[0]);
+    loop_->cancel_fd(b.fds[0]);
+  });
+}
+
+TEST_P(EventLoopConformance, CancelStormDropsEveryPendingCallback) {
+  // Regression (uring): cancel_fd used to range-iterate the op table while
+  // inserting cancel ops into it — enough simultaneous closes rehash the map
+  // mid-walk. One recv per fd over enough fds that the burst of cancel
+  // insertions forces a rehash, all cancelled in one task drain.
+  constexpr int kPairs = 128;
+  std::vector<std::unique_ptr<Pair>> pairs;
+  for (int i = 0; i < kPairs; ++i) pairs.push_back(std::make_unique<Pair>());
+  static char buf[kPairs][64];
+  std::atomic<int> cb_ran{0};
+  on_loop([&] {
+    for (int i = 0; i < kPairs; ++i) {
+      loop_->submit_recv(pairs[i]->fds[0], buf[i], sizeof buf[i],
+                         [&](int) { cb_ran.fetch_add(1); });
+    }
+  });
+  on_loop([&] {
+    for (const auto& p : pairs) loop_->cancel_fd(p->fds[0]);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(cb_ran.load(), 0);
+}
+
+TEST_P(EventLoopConformance, AcceptDeliversEveryConnection) {
+  TcpListener listener(0);
+  listener.set_nonblocking();
+  std::atomic<int> accepted{0};
+  std::vector<int> fds;
+  std::mutex fds_mutex;
+  on_loop([&] {
+    loop_->submit_accept(listener.fd(), [&](int fd) {
+      const std::lock_guard<std::mutex> lock(fds_mutex);
+      fds.push_back(fd);
+      accepted.fetch_add(1);
+    });
+  });
+  std::vector<TcpStream> clients;
+  for (int i = 0; i < 5; ++i) {
+    clients.push_back(TcpStream::connect("127.0.0.1", listener.port()));
+  }
+  ASSERT_TRUE(wait_for_cond([&] { return accepted.load() == 5; }));
+  on_loop([&] { loop_->cancel_fd(listener.fd()); });
+  const std::lock_guard<std::mutex> lock(fds_mutex);
+  for (const int fd : fds) ::close(fd);
+}
+
+TEST_P(EventLoopConformance, DescriptorExhaustionParksTheListenerInsteadOfSpinning) {
+  // Regression (epoll): on EMFILE the level-triggered listener stayed
+  // readable and the accept loop spun — hundreds of thousands of accept4 +
+  // epoll_wait calls per 300 ms. Both backends must back off, then pick the
+  // connection up promptly once descriptors free.
+  const apps::AppSpec spec = apps::make_wish();
+  apps::OriginServer origin(&spec);
+  // Cap the descriptor table before the server starts: io_uring reads the
+  // limit when an accept op is prepared, not when it completes.
+  int highest_fd = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest_fd = std::max(highest_fd, std::stoi(entry.path().filename().string()));
+  }
+  FdLimitGuard guard;
+  guard.lower_soft(static_cast<rlim_t>(highest_fd) + 64);
+  LiveOriginServer server(&origin, 0, /*loop_threads=*/1, GetParam());
+  // The client socket exists before the table fills; it connects once the
+  // server has no descriptor left.
+  const Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+  std::vector<Fd> hoard;
+  for (int fd; (fd = ::dup(0)) >= 0;) hoard.emplace_back(fd);
+  ASSERT_EQ(errno, EMFILE);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc = ::connect(client.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  ASSERT_TRUE(rc == 0 || errno == EINPROGRESS);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it hit EMFILE
+  const sys::Counters before = sys::snapshot();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const sys::Counters d = sys::snapshot() - before;
+  EXPECT_LE(d.accept, 20u);
+  EXPECT_LE(d.wait + d.enter, 60u) << "waits " << d.wait << ", enters " << d.enter;
+  EXPECT_EQ(server.open_connections(), 0u);
+
+  hoard.clear();
+  const auto freed = std::chrono::steady_clock::now();
+  ASSERT_TRUE(wait_for_cond([&] { return server.open_connections() == 1; }));
+  EXPECT_LT(ms_since(freed), 100.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, EventLoopConformance, ::testing::Values("epoll", "uring"));
+
+// --- epoll readiness API ----------------------------------------------------
+//
+// Level-triggered fd masks for callers that drive raw sockets themselves
+// (load generators, test origins): del_fd-from-own-callback safety, stale
+// events for deleted handlers dropped, interest toggling.
+
+class EpollReadiness : public ::testing::Test, protected LoopHarness {
+ protected:
+  void SetUp() override { start_loop("epoll"); }
+  void TearDown() override { stop_loop(); }
+};
+
+TEST_F(EpollReadiness, DelFdFromOwnCallbackIsSafe) {
   // Level-triggered with the byte left unread: without the del_fd the
   // callback would storm. Exactly one delivery proves deregistration from
   // inside the handler works and the handler body is not use-after-freed.
@@ -1208,7 +1539,7 @@ TEST_P(EventLoopConformance, DelFdFromOwnCallbackIsSafe) {
   on_loop([] {});
 }
 
-TEST_P(EventLoopConformance, StaleEventForHandlerDeletedMidBatchIsDropped) {
+TEST_F(EpollReadiness, StaleEventForHandlerDeletedMidBatchIsDropped) {
   // Both fds become ready in the same kernel batch; whichever handler runs
   // first deletes the other. The deleted handler's already-harvested event
   // must be dropped, not dispatched into a dead registration.
@@ -1236,7 +1567,7 @@ TEST_P(EventLoopConformance, StaleEventForHandlerDeletedMidBatchIsDropped) {
   on_loop([] {});
 }
 
-TEST_P(EventLoopConformance, ModFdTogglesInterest) {
+TEST_F(EpollReadiness, ModFdTogglesInterest) {
   // Watch an empty-but-writable socket for EPOLLIN only (silent), then
   // toggle to EPOLLOUT: exactly one writable delivery, after which the
   // callback toggles back to quiesce the level-triggered writability.
@@ -1259,39 +1590,14 @@ TEST_P(EventLoopConformance, ModFdTogglesInterest) {
   on_loop([&] { loop_->del_fd(pair.fds[0]); });
 }
 
-TEST_P(EventLoopConformance, CancelledTimerNeverFires) {
-  std::atomic<bool> cancelled_ran{false};
-  std::atomic<bool> kept_ran{false};
-  on_loop([&] {
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t id =
-        loop_->add_timer(now + std::chrono::milliseconds(20), [&] { cancelled_ran.store(true); });
-    loop_->add_timer(now + std::chrono::milliseconds(60), [&] { kept_ran.store(true); });
-    loop_->cancel_timer(id);  // lazy: the heap entry stays, the task must not run
-  });
-  ASSERT_TRUE(wait_for_cond([&] { return kept_ran.load(); }));
-  EXPECT_FALSE(cancelled_ran.load());
+TEST(UringReadiness, ReadinessApiIsRefused) {
+  // The uring backend has no readiness emulation: callers must use the ops.
+  if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring support";
+  const std::unique_ptr<EventLoop> loop = make_uring_event_loop();
+  EXPECT_THROW(loop->add_fd(0, EPOLLIN, [](std::uint32_t) {}), InvalidStateError);
+  EXPECT_THROW(loop->mod_fd(0, EPOLLIN), InvalidStateError);
+  EXPECT_THROW(loop->del_fd(0), InvalidStateError);
 }
-
-TEST_P(EventLoopConformance, PostFromManyThreadsRunsEveryTask) {
-  // Hammers the armed-flag wake elision: coalesced wakeups must never lose a
-  // task, whatever the interleaving of posters and sleep cycles.
-  constexpr int kThreads = 8;
-  constexpr int kPostsPerThread = 500;
-  std::atomic<int> ran{0};
-  std::vector<std::thread> posters;
-  posters.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    posters.emplace_back([&] {
-      for (int i = 0; i < kPostsPerThread; ++i) loop_->post([&] { ran.fetch_add(1); });
-    });
-  }
-  for (std::thread& t : posters) t.join();
-  ASSERT_TRUE(wait_for_cond([&] { return ran.load() == kThreads * kPostsPerThread; }));
-  EXPECT_EQ(loop_->pending_tasks(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventLoopConformance, ::testing::Values("epoll", "uring"));
 
 TEST(IoBackendResolve, RejectsUnknownNames) {
   EXPECT_THROW(resolve_io_backend("iocp"), InvalidArgumentError);
@@ -1304,154 +1610,6 @@ TEST(IoBackendResolve, AutoPicksUringExactlyWhenSupported) {
 TEST(IoBackendResolve, ExplicitUringNeverSilentlyDegrades) {
   if (uring_supported()) GTEST_SKIP() << "kernel supports io_uring; nothing to refuse";
   EXPECT_THROW(make_event_loop("uring"), Error);
-}
-
-// --- uring completion-op extension (DESIGN.md §5l) --------------------------
-
-class UringCompletionOps : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!uring_supported()) GTEST_SKIP() << "kernel lacks io_uring support";
-    loop_ = make_uring_event_loop();
-    ASSERT_TRUE(loop_->supports_completions());
-    runner_ = std::thread([this] { loop_->run(); });
-  }
-  void TearDown() override {
-    if (loop_ && runner_.joinable()) {
-      loop_->stop();
-      runner_.join();
-    }
-  }
-  void on_loop(std::function<void()> fn) {
-    std::promise<void> done;
-    loop_->post([&] {
-      fn();
-      done.set_value();
-    });
-    done.get_future().wait();
-  }
-  std::unique_ptr<EventLoop> loop_;
-  std::thread runner_;
-};
-
-TEST_F(UringCompletionOps, RecvSendmsgRoundTripOnCallerOwnedBuffers) {
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-
-  // recv completes with the bytes the peer wrote into the caller's buffer.
-  char buf[16] = {};
-  std::promise<int> recv_res;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_recv(sv[0], buf, sizeof buf,
-                                   [&](int res) { recv_res.set_value(res); }));
-  });
-  ASSERT_EQ(::write(sv[1], "ping", 4), 4);
-  ASSERT_EQ(recv_res.get_future().get(), 4);
-  EXPECT_EQ(std::string_view(buf, 4), "ping");
-
-  // sendmsg of a caller-owned iovec lands on the peer.
-  const char reply[] = "pong!";
-  struct iovec iov { const_cast<char*>(reply), 5 };
-  struct msghdr msg {};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  std::promise<int> send_res;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_sendmsg(sv[0], &msg, [&](int res) { send_res.set_value(res); }));
-  });
-  ASSERT_EQ(send_res.get_future().get(), 5);
-  char peer[16] = {};
-  ASSERT_EQ(::read(sv[1], peer, sizeof peer), 5);
-  EXPECT_EQ(std::string_view(peer, 5), "pong!");
-
-  // cancel_fd drops a parked recv without invoking its callback.
-  std::atomic<bool> cancelled_cb_ran{false};
-  on_loop([&] {
-    ASSERT_TRUE(
-        loop_->submit_recv(sv[0], buf, sizeof buf, [&](int) { cancelled_cb_ran.store(true); }));
-  });
-  on_loop([&] { loop_->cancel_fd(sv[0]); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(cancelled_cb_ran.load());
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST_F(UringCompletionOps, CancelStormDropsEveryPendingCallback) {
-  // Regression: cancel_fd used to range-iterate the op table while inserting
-  // cancel ops into it — enough simultaneous closes rehash the map mid-walk.
-  // Queue enough in-flight ops that the burst of cancel insertions forces a
-  // rehash, then cancel everything in one task drain.
-  constexpr int kPairs = 48;
-  int sv[kPairs][2];
-  for (auto& p : sv) ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, p), 0);
-  static char buf[64];
-  std::atomic<int> cb_ran{0};
-  on_loop([&] {
-    for (auto& p : sv) {
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(
-            loop_->submit_recv(p[0], buf, sizeof buf, [&](int) { cb_ran.fetch_add(1); }));
-      }
-    }
-  });
-  on_loop([&] {
-    for (auto& p : sv) loop_->cancel_fd(p[0]);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(cb_ran.load(), 0);
-  for (auto& p : sv) {
-    ::close(p[0]);
-    ::close(p[1]);
-  }
-}
-
-TEST_F(UringCompletionOps, ReAddingAnFdReplacesTheHandlerWithoutDoubleCounting) {
-  // Regression: add_fd on an already-registered fd used to orphan the old
-  // poll op (one stale callback delivery) and double-increment fd_count.
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::atomic<int> old_hits{0};
-  std::atomic<int> new_hits{0};
-  on_loop([&] {
-    loop_->add_fd(sv[0], EPOLLIN, [&](std::uint32_t) { old_hits.fetch_add(1); });
-    loop_->add_fd(sv[0], EPOLLIN, [&](std::uint32_t) {
-      char drain[8];
-      ::read(sv[0], drain, sizeof drain);  // drain the single byte (blocking fd)
-      new_hits.fetch_add(1);
-    });
-  });
-  EXPECT_EQ(loop_->fd_count(), 1u);
-  ASSERT_EQ(::write(sv[1], "x", 1), 1);
-  ASSERT_TRUE(wait_for_cond([&] { return new_hits.load() >= 1; }));
-  EXPECT_EQ(old_hits.load(), 0);
-  on_loop([&] { loop_->del_fd(sv[0]); });
-  EXPECT_EQ(loop_->fd_count(), 0u);
-  ::close(sv[0]);
-  ::close(sv[1]);
-}
-
-TEST_F(UringCompletionOps, MultishotAcceptDeliversEveryConnection) {
-  TcpListener listener(0);
-  std::atomic<int> accepted{0};
-  std::vector<int> fds;
-  std::mutex fds_mutex;
-  on_loop([&] {
-    ASSERT_TRUE(loop_->submit_accept(listener.fd(), [&](int fd) {
-      if (fd < 0) return;
-      const std::lock_guard<std::mutex> lock(fds_mutex);
-      fds.push_back(fd);
-      accepted.fetch_add(1);
-    }));
-  });
-  std::vector<TcpStream> clients;
-  for (int i = 0; i < 5; ++i) {
-    clients.push_back(TcpStream::connect("127.0.0.1", listener.port()));
-  }
-  ASSERT_TRUE(wait_for_cond([&] { return accepted.load() == 5; }));
-  on_loop([&] { loop_->cancel_fd(listener.fd()); });
-  const std::lock_guard<std::mutex> lock(fds_mutex);
-  for (const int fd : fds) ::close(fd);
 }
 
 }  // namespace
