@@ -9,7 +9,8 @@
 // latency percentiles (p50/p95/p99). The reactor carries all C connections
 // on a single thread; the seed model needs C. A second section drives the
 // full LiveProxyServer through sequential unique cache misses and reports
-// the upstream keep-alive pool's reuse fraction (seed behavior: a fresh TCP
+// the upstream keep-alive reuse fraction from the proxy's
+// appx_upstream_{reuse,connect}_total counters (seed behavior: a fresh TCP
 // connect per fetch, reuse 0).
 //
 // Emits one JSON object on stdout; results are recorded in BENCH_micro.json
@@ -33,6 +34,7 @@
 #include "net/http_io.hpp"
 #include "net/servers.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -280,22 +282,22 @@ int main(int argc, char** argv) {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
     proxy.drain_prefetches();
-    const net::UpstreamPool& pool = proxy.upstream_pool();
-    const double reuse_fraction =
-        static_cast<double>(pool.reuses()) /
-        static_cast<double>(std::max<std::uint64_t>(1, pool.reuses() + pool.connects()));
+    const obs::MetricsRegistry& metrics = proxy.metrics();
+    const auto reuses = metrics.counter_value("appx_upstream_reuse_total");
+    const auto connects = metrics.counter_value("appx_upstream_connect_total");
+    const double reuse_fraction = static_cast<double>(reuses) /
+                                  static_cast<double>(std::max<std::int64_t>(1, reuses + connects));
     const Percentiles p = percentiles(latencies);
     std::printf("  {\"name\": \"proxy_pooled_misses\", \"loop\": \"closed\", "
                 "\"requests\": %zu, \"errors\": %zu, "
                 "\"wall_s\": %.3f, \"pool_reuses\": %llu, \"pool_connects\": %llu, "
                 "\"pool_stale\": %llu, \"pool_retries\": %llu, \"reuse_fraction\": %.3f, "
                 "\"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f}\n",
-                latencies.size(), errors, wall_s,
-                static_cast<unsigned long long>(pool.reuses()),
-                static_cast<unsigned long long>(pool.connects()),
-                static_cast<unsigned long long>(pool.stale_discards()),
-                static_cast<unsigned long long>(pool.retries()), reuse_fraction, p.p50, p.p95,
-                p.p99);
+                latencies.size(), errors, wall_s, static_cast<unsigned long long>(reuses),
+                static_cast<unsigned long long>(connects),
+                static_cast<unsigned long long>(metrics.counter_value("appx_upstream_stale_total")),
+                static_cast<unsigned long long>(metrics.counter_value("appx_upstream_retry_total")),
+                reuse_fraction, p.p50, p.p95, p.p99);
     proxy.stop();
     upstream.stop();
   }

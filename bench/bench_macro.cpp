@@ -30,7 +30,7 @@
 //
 // Usage: bench_macro [--users N] [--duration S] [--ramp S] [--dilation X]
 //                    [--backend epoll|uring|auto] [--data-budget-kb N]
-//                    [--smoke] [--gate-p99-ms X] [--gate-hit-ratio Y]
+//                    [--loops N] [--smoke] [--gate-p99-ms X] [--gate-hit-ratio Y]
 //
 // --backend selects the server's event-loop I/O backend (EngineOptions
 // .io_backend); the load generator itself always runs on epoll so an A/B
@@ -466,12 +466,9 @@ class UserConn : public std::enable_shared_from_this<UserConn> {
     engine_options.cache_max_entries = 512;        // per user
     engine_options.cache_max_bytes = megabytes(4);  // per user
     engine_options.loop_threads = opt.loop_threads;
-    engine_options.request_workers = 8;
-    engine_options.prefetch_workers = 2;
-    engine_options.max_prefetch_queue = 8192;
     // Per-user scheduler bound (lowest-priority eviction) plus cost-aware
     // admission: under overload the engine sheds the worst jobs *before*
-    // enqueue, so dropped-after-enqueue stays ~0 (gated below in --smoke).
+    // issue, so dropped-after-issue stays 0 (gated below in --smoke).
     engine_options.max_queued_prefetches = 64;
     engine_options.policy.enabled = true;
     // Localhost tuning: origin savings are ~2 ms (not the 100s of ms of a
@@ -745,7 +742,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(stats.max_send_lag_us.load()) / 1000.0);
     std::printf("    \"server\": {\"rss_delta_mb\": %.1f, \"rss_per_resident_user_kb\": %.1f",
                 rss_delta_mb, rss_per_user_kb);
-    long long queue_dropped = 0;
+    long long prefetch_dropped = 0;
     bool have_server_metrics = false;
     if (server_metrics.is_object()) {
       have_server_metrics = true;
@@ -755,7 +752,7 @@ int main(int argc, char** argv) {
             counters != nullptr && counters->is_object() ? counters->find(name) : nullptr;
         return v != nullptr ? static_cast<long long>(v->as_int()) : 0;
       };
-      queue_dropped = counter("appx_proxy_queue_dropped_total");
+      prefetch_dropped = counter("appx_prefetch_dropped_total");
       const json::Value* gauges = server_metrics.find("gauges");
       const json::Value* thr =
           gauges != nullptr && gauges->is_object() ? gauges->find("appx_policy_threshold") : nullptr;
@@ -768,9 +765,9 @@ int main(int argc, char** argv) {
                                    static_cast<double>(prefetch_bytes)
                              : 0.0;
       std::printf(",\n      \"upstream_pool_reuse\": %lld, \"upstream_pool_connect\": %lld, "
-                  "\"prefetch_queue_dropped\": %lld, \"prefetch_dropped\": %lld,\n",
+                  "\"prefetch_dropped\": %lld,\n",
                   counter("appx_upstream_reuse_total"), counter("appx_upstream_connect_total"),
-                  queue_dropped, counter("appx_prefetch_dropped_total"));
+                  prefetch_dropped);
       std::printf("      \"prefetch_skipped_queue_full\": %lld,\n",
                   counter(obs::labeled("appx_prefetch_skipped_total", {{"reason", "queue_full"}})));
       std::printf("      \"policy\": {\"admitted\": %lld, \"rejected_value\": %lld, "
@@ -796,13 +793,13 @@ int main(int argc, char** argv) {
       if (!have_server_metrics) {
         std::fprintf(stderr, "bench_macro: GATE FAIL: could not scrape server metrics\n");
         exit_code = 1;
-      } else if (queue_dropped != 0) {
+      } else if (prefetch_dropped != 0) {
         // Cost-aware admission + lowest-priority queue eviction should shed
-        // work before enqueue; jobs dropped after enqueue mean thrash.
+        // work before issue; jobs dropped after issue mean thrash.
         std::fprintf(stderr,
-                     "bench_macro: GATE FAIL: %lld prefetch jobs dropped after enqueue "
+                     "bench_macro: GATE FAIL: %lld prefetch jobs dropped after issue "
                      "(want 0)\n",
-                     queue_dropped);
+                     prefetch_dropped);
         exit_code = 1;
       }
       if (all.count == 0) {

@@ -1,8 +1,8 @@
 // live_proxy: the whole system on real TCP sockets (no simulator).
 //
 //   1. Start a loopback origin server hosting the Wish-like backend.
-//   2. Start the acceleration proxy in front of it (dynamic learning +
-//      background prefetch worker, as in the paper's mitmproxy prototype).
+//   2. Start the acceleration proxy in front of it (dynamic learning and
+//      background prefetching on the proxy's event loops).
 //   3. Act as the app: fetch the feed, open one item, then open more items
 //      and watch them come back from the prefetch cache (X-Appx-Cache: hit),
 //      with wall-clock timings per request.
@@ -83,16 +83,14 @@ int main() {
   // server's transport bounds all live in core::EngineOptions.
   core::EngineOptions options;
   options.seed = 42;
-  options.connect_timeout = seconds(2);
   options.request_deadline = seconds(5);
-  options.prefetch_workers = 4;
   core::ShardedProxyEngine engine(&signatures, &config, options);
   net::LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec.endpoints) upstreams[ep.host] = origin_server.port();
   net::LiveProxyServer proxy(&engine, std::move(upstreams), 0, options);
   std::cout << "acceleration proxy on 127.0.0.1:" << proxy.port() << " ("
-            << engine.shard_count() << " shards, "
-            << proxy.options().prefetch_workers << " prefetch workers, "
+            << engine.shard_count() << " shards, " << proxy.loop_thread_count()
+            << " loop threads, "
             << to_ms(proxy.options().request_deadline) << " ms upstream deadline)\n\n";
 
   // The "phone": one keep-alive connection through the proxy.
@@ -122,7 +120,7 @@ int main() {
                    std::to_string(resp.status),
                    resp.headers.get("X-Appx-Cache").value_or("-"),
                    eval::TablePrinter::fmt(ms, 2) + " ms"});
-    if (i == 0) proxy.drain_prefetches();  // let the worker fill the cache
+    if (i == 0) proxy.drain_prefetches();  // let the prefetches fill the cache
   }
   table.print(std::cout);
 
@@ -155,8 +153,7 @@ int main() {
             << stats.cache_hits << " cache hits, " << stats.forwarded << " forwarded\n"
             << "bounds: " << stats.evicted_lru << " LRU evictions, "
             << stats.evicted_expired << " TTL evictions, " << stats.prefetches_dropped
-            << " prefetches dropped (queue drops: " << proxy.prefetch_jobs_dropped()
-            << ")\n"
+            << " prefetches dropped\n"
             << "(the first detail is a miss that teaches the proxy the run-time values;\n"
             << " every further item is served from the prefetch cache)\n";
 

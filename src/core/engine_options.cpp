@@ -24,12 +24,10 @@ util::Error EngineOptions::validate() const {
     return util::Error::failure("EngineOptions.scheduler_hit_weight must be finite and >= 0");
   }
   if (util::Error err = policy.validate()) return err;
-  if (connect_timeout < 0 || io_timeout < 0 || request_deadline < 0) {
+  if (request_deadline <= 0) {
     return util::Error::failure(
-        "EngineOptions timeouts must be >= 0 (0 disables the corresponding bound)");
-  }
-  if (prefetch_workers == 0) {
-    return util::Error::failure("EngineOptions.prefetch_workers must be >= 1");
+        "EngineOptions.request_deadline must be > 0 (it is the only bound on a hung "
+        "origin exchange)");
   }
   if (listen_backlog < 0) {
     return util::Error::failure(

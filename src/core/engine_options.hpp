@@ -60,26 +60,18 @@ struct EngineOptions {
   // block in its serialized `global.policy` object.
   policy::PolicyOptions policy;
 
-  // --- live transport (LiveProxyServer); 0 disables a timeout ---------------
+  // --- live transport (LiveProxyServer) --------------------------------------
 
-  // Upstream (proxy->origin) I/O bounds. A fetch that cannot complete within
-  // request_deadline resolves as a 504 instead of blocking its thread.
-  Duration connect_timeout = seconds(5);
-  Duration io_timeout = seconds(10);        // per upstream read/write
-  Duration request_deadline = seconds(15);  // whole upstream fetch
-  // Prefetch execution: worker pool size (>= 1) and queue bound (overflow
-  // sheds the lowest-priority queued job, the oldest among ties, and reports
-  // it to the engine; 0 = unbounded).
-  std::size_t prefetch_workers = 4;
-  std::size_t max_prefetch_queue = 256;
+  // Bound on one whole origin exchange (waiting for a connection, connect,
+  // send, response), enforced by a loop timer; past it the exchange resolves
+  // as a 504. Must be > 0: nothing else frees a client connection held by a
+  // hung origin.
+  Duration request_deadline = seconds(15);
   // Event-loop runtime (DESIGN.md §5g). loop_threads reactor threads share
   // the accept load via SO_REUSEPORT (0 = hardware_concurrency); each runs
-  // one event loop driving non-blocking client connections. Engine events and
-  // blocking upstream fetches run on request_workers threads off the loops
-  // (0 = max(4, 2 * hardware_concurrency) — they block on origin I/O, so they
-  // outnumber the loops).
+  // one event loop driving its client connections, the engine events for
+  // them, and their origin exchanges. They are the proxy's only threads.
   std::size_t loop_threads = 0;
-  std::size_t request_workers = 0;
   // Event-loop I/O backend (DESIGN.md §5l) under the servers' completion-op
   // I/O: "epoll" (ops on readiness, the default), "uring" (ops as io_uring
   // SQEs; construction fails on kernels without the required support), or
@@ -102,9 +94,12 @@ struct EngineOptions {
   // A client connection idle (or dribbling an incomplete request — slow
   // loris) this long is closed. 0 disables the idle timer.
   Duration conn_idle_timeout = seconds(60);
-  // Upstream keep-alive pool: at most this many idle connections are parked
-  // per origin host (0 disables pooling — every fetch reconnects), each
-  // health-checked on reuse and discarded after upstream_idle_timeout.
+  // Upstream keep-alive: each loop parks at most this many idle connections
+  // per origin host (0 disables keep-alive — every fetch reconnects); an
+  // origin FIN evicts a parked connection at once, and one parked longer
+  // than upstream_idle_timeout is discarded instead of reused. It also caps
+  // each loop's concurrent prefetch exchanges per origin host (at least 1);
+  // further prefetches wait in a FIFO, while client misses never wait.
   std::size_t upstream_pool_per_host = 8;
   Duration upstream_idle_timeout = seconds(30);
   // Per-message size bounds on client connections (431/413 beyond them).

@@ -22,8 +22,9 @@
 //   * cross-thread tasks — post() enqueues a closure from any thread and
 //     wakes the loop via an eventfd, but only when the loop may actually be
 //     sleeping: an "armed" flag set before the backend blocks elides the
-//     wake write(2) while the loop is busy, so completion storms from the
-//     worker pool don't pay one syscall each.
+//     wake write(2) while the loop is busy, so a burst of posts from other
+//     threads (server stop, measurement tasks) pays one syscall, not one
+//     each. The servers' request path never posts: it runs on the loop.
 //
 // Lifecycle: run() blocks until stop(); tasks already queued when stop() is
 // observed still run (a close-all posted together with stop is guaranteed to

@@ -5,11 +5,12 @@
 // append() whatever bytes the transport produced and poll next_message() for
 // complete messages. It backs both front ends:
 //
-//   * the epoll reactor feeds it from non-blocking reads (a connection's
-//     parser persists across keep-alive requests, so the scratch buffer is
-//     reused instead of reallocated per message), and
+//   * the event loops feed it from recv completions — client connections
+//     and origin exchanges alike (a connection's parser persists across
+//     keep-alive messages, so the scratch buffer is reused instead of
+//     reallocated per message), and
 //   * HttpReader wraps it behind the original blocking pull API for clients,
-//     tests and upstream fetches.
+//     tests and tools.
 //
 // next_message() returns a view into the parser's buffer (no per-message
 // copy); the view stays valid until the next append()/next_message() call.
@@ -110,11 +111,6 @@ class HttpReader {
   std::optional<http::Request> read_request();
   // Same for responses.
   std::optional<http::Response> read_response();
-
-  // Bytes received beyond the last returned message. A pooled upstream
-  // connection with pending residue is not safe to reuse (the origin sent
-  // more than one response's worth of bytes).
-  std::size_t pending_bytes() const { return parser_.pending_bytes(); }
 
  private:
   // Raw wire text of one message, or nullopt on clean EOF.

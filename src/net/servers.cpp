@@ -39,6 +39,9 @@ constexpr std::size_t kMaxStagedBytes = 64 * 1024;
 // After rejecting a message (431/413) we half-close and keep draining the
 // peer's in-flight bytes this long so the FIN carries the status cleanly.
 constexpr auto kDiscardDrain = std::chrono::milliseconds(500);
+// Prefetch learning per loop iteration before the loop turns back to its
+// client events (one learning event may overrun it).
+constexpr auto kLearnSlice = std::chrono::milliseconds(1);
 
 http::Response status_response(int status, std::string body) {
   http::Response resp;
@@ -48,34 +51,10 @@ http::Response status_response(int status, std::string body) {
   return resp;
 }
 
-// Canned upstream-failure responses, built once and shared: serving one is a
-// refcount bump — the body is a static slab, never copied or re-assembled
-// per failure (DESIGN.md §5h). `body` must have static storage duration.
-std::shared_ptr<const http::Response> make_canned(int status, std::string_view body) {
-  auto resp = std::make_shared<http::Response>();
-  resp->status = status;
-  resp->reason = std::string(http::reason_phrase(status));
-  resp->body = http::BodySlab::static_bytes(body);
-  return resp;
-}
-const std::shared_ptr<const http::Response>& no_upstream_response() {
-  static const auto resp = make_canned(502, R"({"error":"no upstream for host"})");
-  return resp;
-}
-const std::shared_ptr<const http::Response>& shutting_down_response() {
-  static const auto resp = make_canned(502, R"({"error":"proxy shutting down"})");
-  return resp;
-}
-const std::shared_ptr<const http::Response>& upstream_error_response() {
-  static const auto resp = make_canned(502, R"({"error":"upstream error"})");
-  return resp;
-}
-const std::shared_ptr<const http::Response>& upstream_timeout_response() {
-  static const auto resp = make_canned(504, R"({"error":"upstream timeout"})");
-  return resp;
-}
+// Built once and shared: serving it is a refcount bump.
 const std::shared_ptr<const http::Response>& internal_error_response() {
-  static const auto resp = make_canned(500, R"({"error":"internal error"})");
+  static const auto resp =
+      std::make_shared<const http::Response>(status_response(500, R"({"error":"internal error"})"));
   return resp;
 }
 
@@ -108,12 +87,8 @@ http::Response metrics_response(const obs::MetricsRegistry& registry, std::strin
 
 // --- Conn ----------------------------------------------------------------------------
 //
-// One client connection on one event loop. All state is loop-thread-only
-// except the request-scoped members (`sessions`, the request view, arena and
-// scratch request) — touched only by the single worker owning the in-flight
-// request; `processing_` serializes requests per connection and the worker
-// queue/loop post provide the hand-off ordering — and complete() (any
-// thread; it posts the response to the loop).
+// One client connection on one event loop. All state, complete() included,
+// is loop-thread-only; `processing_` serializes requests per connection.
 //
 // Zero-copy data plane (DESIGN.md §5h): a complete message is parsed into a
 // RequestView over the parser's pinned buffer (header array in the
@@ -168,33 +143,26 @@ class Conn : public std::enable_shared_from_this<Conn> {
     return req_scratch_;
   }
 
-  // Any thread: hand back the response for the dispatched request. The body
-  // slab is enqueued by reference (no copy); the head is rendered on the
-  // loop thread into a pooled buffer. `extra_header_line` must point at
-  // storage with static lifetime (callers pass literals like
-  // "X-Appx-Cache: hit"); it is emitted after the stored headers.
-  void complete(http::Response response, std::string_view extra_header_line = {}) {
-    if (loop_->on_loop_thread()) {
-      finish_request(response, extra_header_line);
-      return;
-    }
-    loop_->post([self = shared_from_this(), response = std::move(response),
-                 extra_header_line]() mutable {
-      self->finish_request(response, extra_header_line);
-    });
-  }
-
-  // Same, for a response shared with the engine's cache (or a canned
-  // singleton): no copy is taken — the write queue holds the refcount.
-  void complete(std::shared_ptr<const http::Response> response,
-                std::string_view extra_header_line = {}) {
-    if (loop_->on_loop_thread()) {
-      finish_request(*response, extra_header_line);
-      return;
-    }
-    loop_->post([self = shared_from_this(), response = std::move(response), extra_header_line] {
-      self->finish_request(*response, extra_header_line);
-    });
+  // Hand back the response for the dispatched request and resume reading
+  // and dispatching. The body slab is enqueued by reference (no copy) — for
+  // a response shared with the engine's cache the write queue holds the
+  // refcount; the head is rendered into a pooled buffer.
+  // `extra_header_line` must point at storage with static lifetime (callers
+  // pass literals like "X-Appx-Cache: hit"); it is emitted after the stored
+  // headers.
+  void complete(const http::Response& response, std::string_view extra_header_line = {}) {
+    if (closed_) return;  // connection died while the origin answered; drop
+    processing_ = false;
+    parser_.unpin();  // views are dead; merge bytes staged during the request
+    std::string head = take_head_buffer();
+    response.serialize_head_into(head, extra_header_line);
+    out_.push_back(OutChunk::head(std::move(head)));
+    if (!response.body.empty()) out_.push_back(OutChunk::body(response.body));
+    touch();
+    submit_write();
+    if (closed_) return;
+    pump();
+    finish_io_round();
   }
 
   // Loop thread (server stop path).
@@ -283,7 +251,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
 
   // Dispatch buffered complete messages, one in flight at a time. The
   // in_pump_ guard breaks recursion when an inline dispatch (admin, origin)
-  // completes synchronously: its finish_request() sees the guard and the
+  // completes synchronously: its complete() sees the guard and the
   // outer loop here picks up the next pipelined message instead.
   void pump() {
     if (in_pump_ || closed_) return;
@@ -330,23 +298,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
     discarding_ = true;
     parser_.reset();
     submit_write();
-  }
-
-  // Loop thread: append the response for the in-flight request and resume
-  // reading/dispatching.
-  void finish_request(const http::Response& response, std::string_view extra_header_line) {
-    if (closed_) return;  // connection died while the worker ran; drop
-    processing_ = false;
-    parser_.unpin();  // views are dead; merge bytes staged during the request
-    std::string head = take_head_buffer();
-    response.serialize_head_into(head, extra_header_line);
-    out_.push_back(OutChunk::head(std::move(head)));
-    if (!response.body.empty()) out_.push_back(OutChunk::body(response.body));
-    touch();
-    submit_write();
-    if (closed_) return;
-    pump();
-    finish_io_round();
   }
 
   void record_first_byte(ssize_t n) {
@@ -417,8 +368,8 @@ class Conn : public std::enable_shared_from_this<Conn> {
     const auto now = std::chrono::steady_clock::now();
     const auto deadline = last_activity_ + std::chrono::microseconds(idle_timeout_);
     if (processing_) {
-      // A worker owns the request (bounded by the upstream deadline); give
-      // the connection another full period.
+      // The request is upstream (bounded by the request deadline); give the
+      // connection another full period.
       arm_idle_timer(now + std::chrono::microseconds(idle_timeout_));
       return;
     }
@@ -547,10 +498,11 @@ namespace {
 // listener registered. Returns the bound port. `backlog` 0 = SOMAXCONN.
 // `io_backend` picks the event-loop backend (resolve_io_backend names); an
 // invalid or unsupported choice throws here, in the constructing thread.
-template <typename MakeConn>
+// `setup` runs on each shard before its thread starts.
+template <typename MakeConn, typename Setup>
 std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
                            std::size_t loop_threads, std::uint16_t port, MakeConn make_conn,
-                           int backlog = 0, std::string_view io_backend = {}) {
+                           Setup setup, int backlog = 0, std::string_view io_backend = {}) {
   const std::string backend = resolve_io_backend(io_backend);
   if (loop_threads == 0) {
     loop_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -563,6 +515,7 @@ std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
     shard->listener = std::make_unique<TcpListener>(bound, /*reuse_port=*/true, backlog);
     if (i == 0) bound = shard->listener->port();
     shard->listener->set_nonblocking();
+    setup(*shard);
     shards.push_back(std::move(shard));
   }
   for (auto& shard_ptr : shards) {
@@ -586,12 +539,14 @@ std::uint16_t start_shards(std::vector<std::unique_ptr<LoopShard>>& shards,
   return bound;
 }
 
-// Stop every shard: close the listener and all connections on each loop (the
-// posted task is guaranteed to run in the loop's final drain), then join.
-void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards) {
+// Stop every shard: close the listener and all connections on each loop,
+// then run `on_stop` there (the posted task is guaranteed to run in the
+// loop's final drain), then join.
+template <typename OnStop>
+void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards, OnStop on_stop) {
   for (auto& shard_ptr : shards) {
     LoopShard* shard = shard_ptr.get();
-    shard->loop->post([shard] {
+    shard->loop->post([shard, on_stop] {
       if (shard->listener) {
         shard->loop->cancel_fd(shard->listener->fd());
         shard->listener->close();
@@ -600,6 +555,7 @@ void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards) {
       conns.reserve(shard->conns.size());
       for (auto& [fd, conn] : shard->conns) conns.push_back(conn);
       for (auto& conn : conns) conn->close_now();
+      on_stop(*shard);
     });
     shard->loop->stop();
   }
@@ -609,62 +565,6 @@ void stop_shards(std::vector<std::unique_ptr<LoopShard>>& shards) {
 }
 
 }  // namespace
-
-// --- WorkerPool ----------------------------------------------------------------------
-
-WorkerPool::WorkerPool(std::size_t workers) {
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { worker(); });
-  }
-}
-
-WorkerPool::~WorkerPool() { stop(); }
-
-void WorkerPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;  // dropped; captured resources release via RAII
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void WorkerPool::stop() {
-  std::deque<std::function<void()>> discarded;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-    discarded.swap(queue_);
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  // `discarded` destructs here, releasing captured connection handles.
-}
-
-void WorkerPool::worker() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (stopping_) return;
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    try {
-      task();
-    } catch (const std::exception& e) {
-      // Backstop: a leaked exception here would std::terminate the process.
-      // Request handlers catch appx::Error themselves and answer 500; this
-      // keeps the pool alive for anything that still slips through.
-      log_error("net.worker") << "task threw: " << e.what();
-    }
-    task = nullptr;  // release captures before sleeping again
-    lock.lock();
-  }
-}
 
 // --- LiveOriginServer ----------------------------------------------------------------
 
@@ -678,14 +578,14 @@ LiveOriginServer::LiveOriginServer(apps::OriginServer* origin, std::uint16_t por
   port_ = start_shards(
       shards_, loop_threads, port,
       [this](LoopShard* shard, TcpStream stream) { return make_conn(shard, std::move(stream)); },
-      /*backlog=*/0, io_backend);
+      [](LoopShard&) {}, /*backlog=*/0, io_backend);
 }
 
 LiveOriginServer::~LiveOriginServer() { stop(); }
 
 void LiveOriginServer::stop() {
   if (stopping_.exchange(true)) return;
-  stop_shards(shards_);
+  stop_shards(shards_, [](LoopShard&) {});
 }
 
 void LiveOriginServer::handle_request(const std::shared_ptr<Conn>& conn) {
@@ -697,24 +597,20 @@ void LiveOriginServer::handle_request(const std::shared_ptr<Conn>& conn) {
   }
   requests_total_->inc();
   const auto started = std::chrono::steady_clock::now();
-  const http::Request& request = conn->materialize_request();
+  http::Response response;
   try {
-    http::Response response = origin_->serve(request);
-    serve_us_->record(std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - started)
-                          .count());
-    ++served_;
-    conn->complete(std::move(response));
+    response = origin_->serve(conn->materialize_request());
   } catch (const Error& e) {
     // A request the app rejects (bad argument, invalid state) fails that one
     // exchange; an uncaught throw here would unwind the loop thread.
     log_warn("net.origin") << "serve failed: " << e.what();
-    serve_us_->record(std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - started)
-                          .count());
-    ++served_;
-    conn->complete(internal_error_response());
+    response = *internal_error_response();
   }
+  serve_us_->record(std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - started)
+                        .count());
+  ++served_;
+  conn->complete(response);
 }
 
 std::shared_ptr<Conn> LiveOriginServer::make_conn(LoopShard* shard, TcpStream stream) {
@@ -740,6 +636,11 @@ LiveProxyServer::LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams,
       options_(std::move(options)),
       traces_(options_.trace_ring_capacity) {
   if (engine == nullptr) throw InvalidArgumentError("LiveProxyServer: null engine");
+  if (!engine->thread_safe()) {
+    throw InvalidArgumentError(
+        "LiveProxyServer: engine is not thread-safe (every loop thread calls it); wrap it "
+        "in a ShardedProxyEngine");
+  }
   options_.validate().throw_if_error();
   // Fail fast on descriptor capacity: a high-connection run that would die
   // mid-load with EMFILE instead refuses to start, after attempting the
@@ -756,8 +657,6 @@ LiveProxyServer::LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams,
   prefetch_fetch_us_ = &registry_->histogram("appx_prefetch_fetch_us");
   accept_to_first_byte_us_ = &registry_->histogram("appx_accept_to_first_byte_us");
   admin_requests_ = &registry_->counter("appx_admin_requests_total");
-  queue_dropped_total_ = &registry_->counter("appx_proxy_queue_dropped_total");
-  queue_depth_ = &registry_->gauge("appx_proxy_prefetch_queue");
   // Imperative gauge (not a callback): the engine's registry outlives this
   // server, so a callback capturing `this` would dangle after stop().
   conns_gauge_ = &registry_->gauge("appx_loop_connections");
@@ -774,24 +673,16 @@ LiveProxyServer::LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams,
         [this] { return serialize_engine_state(); }, options_.state_snapshot_path,
         options_.state_snapshot_interval);
   }
-  pool_ = std::make_unique<UpstreamPool>(
-      UpstreamPool::Options{options_.upstream_pool_per_host, options_.upstream_idle_timeout,
-                            options_.connect_timeout},
-      registry_);
-  std::size_t request_workers = options_.request_workers;
-  if (request_workers == 0) {
-    // Request workers block on origin I/O, so they outnumber the loops.
-    request_workers = std::max<std::size_t>(4, 2 * std::thread::hardware_concurrency());
-  }
-  workers_ = std::make_unique<WorkerPool>(request_workers);
+  const UpstreamClient::Options upstream_options{
+      options_.upstream_pool_per_host, options_.upstream_idle_timeout, options_.request_deadline};
   port_ = start_shards(
       shards_, options_.loop_threads, port,
       [this](LoopShard* shard, TcpStream stream) { return make_conn(shard, std::move(stream)); },
+      [&](LoopShard& shard) {
+        shard.upstream = std::make_unique<UpstreamClient>(shard.loop.get(), &upstreams_,
+                                                          upstream_options, *registry_);
+      },
       options_.listen_backlog, options_.io_backend);
-  prefetchers_.reserve(options_.prefetch_workers);
-  for (std::size_t i = 0; i < options_.prefetch_workers; ++i) {
-    prefetchers_.emplace_back([this] { prefetch_worker(); });
-  }
 }
 
 LiveProxyServer::~LiveProxyServer() { stop(); }
@@ -802,7 +693,7 @@ std::shared_ptr<Conn> LiveProxyServer::make_conn(LoopShard* shard, TcpStream str
       shard->loop.get(), std::move(stream),
       ReaderLimits{options_.reader_limits.max_head_bytes, options_.reader_limits.max_body_bytes},
       options_.conn_idle_timeout,
-      [this](const std::shared_ptr<Conn>& c) { dispatch(c); },
+      [this, shard](const std::shared_ptr<Conn>& c) { dispatch(*shard, c); },
       [this, shard](int fd) {
         shard->conns.erase(fd);
         conns_gauge_->set(static_cast<std::int64_t>(open_conns_.fetch_sub(1) - 1));
@@ -810,14 +701,6 @@ std::shared_ptr<Conn> LiveProxyServer::make_conn(LoopShard* shard, TcpStream str
       accept_to_first_byte_us_);
   conns_gauge_->set(static_cast<std::int64_t>(open_conns_.fetch_add(1) + 1));
   return conn;
-}
-
-std::unique_lock<std::mutex> LiveProxyServer::engine_guard() {
-  // A thread-safe engine (the sharded runtime) synchronises itself per shard;
-  // funnelling its events through one server mutex would serialise exactly
-  // the work sharding parallelised. Hand back an empty guard instead.
-  if (engine_->thread_safe()) return std::unique_lock<std::mutex>();
-  return std::unique_lock<std::mutex>(engine_mutex_);
 }
 
 void LiveProxyServer::stop() {
@@ -830,89 +713,17 @@ void LiveProxyServer::stop() {
     state_writer_->write_now();  // a clean shutdown leaves a fresh snapshot
     state_writer_->stop();
   }
-  // Unblock in-flight upstream fetches first: workers and prefetchers stuck
-  // reading a wedged origin fail over to canned 502s immediately.
-  pool_->shutdown();
-  stop_shards(shards_);
-  workers_->stop();
-  queue_cv_.notify_all();
-  idle_cv_.notify_all();
-  for (std::thread& t : prefetchers_) {
-    if (t.joinable()) t.join();
-  }
-  // Resolve jobs still queued at shutdown so the engine's outstanding
-  // windows balance even if it is inspected (or reused) after stop().
-  std::deque<core::PrefetchJob> leftover;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    leftover.swap(prefetch_queue_);
-  }
-  if (!leftover.empty()) {
-    const auto guard = engine_guard();
-    for (core::PrefetchJob& job : leftover) {
-      try {
-        engine_->on_prefetch_dropped(job.uid, job, now());
-      } catch (const Error& e) {
-        // stop() runs from the destructor; a throwing engine must not
-        // escape it (implicitly noexcept) and terminate.
-        log_warn("net.proxy") << "prefetch drop notification failed: " << e.what();
-      }
-    }
-  }
+  // Each loop closes its connections and origin exchanges before exiting;
+  // prefetches still in flight or unlearned resolve as dropped, so the
+  // engine's outstanding windows balance even if it is inspected after
+  // stop().
+  stop_shards(shards_, [this](LoopShard& shard) { close_upstream(shard); });
 }
 
 SimTime LiveProxyServer::now() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
-}
-
-std::shared_ptr<const http::Response> LiveProxyServer::fetch_upstream(
-    const http::Request& request) {
-  const auto it = upstreams_.find(request.uri.host);
-  if (it == upstreams_.end()) return no_upstream_response();
-  if (stopping_.load()) return shutting_down_response();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    UpstreamPool::Lease lease;
-    bool reused = false;
-    try {
-      lease = pool_->acquire("127.0.0.1", it->second, /*force_fresh=*/attempt > 0);
-      reused = lease.reused();
-      TcpStream& upstream = lease.stream();
-      if (options_.request_deadline > 0) {
-        upstream.set_deadline(std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(options_.request_deadline));
-      }
-      upstream.set_read_timeout(options_.io_timeout);
-      upstream.set_write_timeout(options_.io_timeout);
-      write_request(upstream, request);
-      HttpReader reader(&upstream);
-      auto response = reader.read_response();
-      if (!response) throw Error("upstream closed without responding");
-      // Reusable only when the exchange ended exactly at a message boundary.
-      pool_->release(std::move(lease), reader.pending_bytes() == 0);
-      // Shared from here on: the engine's cache, the learning event and the
-      // client's write queue all reference these bytes, never copy them.
-      return std::make_shared<const http::Response>(std::move(*response));
-    } catch (const TimeoutError& e) {
-      pool_->release(std::move(lease), false);
-      // A dead or wedged origin degrades to 504 instead of hanging the worker.
-      log_warn("net.proxy") << "upstream timeout: " << e.what();
-      return upstream_timeout_response();
-    } catch (const Error& e) {
-      pool_->release(std::move(lease), false);
-      if (reused && attempt == 0) {
-        // A pooled connection the origin closed under us (the health check
-        // raced its FIN): retry once on a fresh connect, transparently.
-        pool_->note_retry();
-        log_debug("net.proxy") << "stale pooled upstream, retrying fresh: " << e.what();
-        continue;
-      }
-      log_warn("net.proxy") << "upstream error: " << e.what();
-      return upstream_error_response();
-    }
-  }
-  return upstream_error_response();  // unreachable: attempt 1 always returns
 }
 
 http::Response LiveProxyServer::handle_admin(const http::Request& request) {
@@ -937,11 +748,7 @@ http::Response LiveProxyServer::handle_admin(const http::Request& request) {
     if (!user || user->empty()) {
       return status_response(400, R"({"error":"missing user= query parameter"})");
     }
-    std::vector<std::uint8_t> blob;
-    {
-      const auto guard = engine_guard();
-      blob = engine_->export_user(*user);
-    }
+    const std::vector<std::uint8_t> blob = engine_->export_user(*user);
     if (blob.empty()) return status_response(404, R"({"error":"unknown user"})");
     http::Response resp = status_response(
         200, std::string(reinterpret_cast<const char*>(blob.data()), blob.size()));
@@ -954,12 +761,7 @@ http::Response LiveProxyServer::handle_admin(const http::Request& request) {
     }
     const std::vector<std::uint8_t> blob(request.body.begin(), request.body.end());
     try {
-      bool imported = false;
-      {
-        const auto guard = engine_guard();
-        imported = engine_->import_user(blob, now());
-      }
-      if (!imported) return status_response(409, R"({"imported":false})");
+      if (!engine_->import_user(blob, now())) return status_response(409, R"({"imported":false})");
       return status_response(200, R"({"imported":true})");
     } catch (const Error& e) {
       // Corrupt or future-version blobs are the sender's problem, not ours.
@@ -972,10 +774,7 @@ http::Response LiveProxyServer::handle_admin(const http::Request& request) {
 
 std::vector<std::uint8_t> LiveProxyServer::serialize_engine_state() {
   core::SnapshotBuilder builder;
-  {
-    const auto guard = engine_guard();
-    engine_->snapshot_to(builder);
-  }
+  engine_->snapshot_to(builder);
   std::vector<std::uint8_t> bytes = builder.finish();
   if (state_bytes_gauge_ != nullptr) {
     state_bytes_gauge_->set(static_cast<std::int64_t>(bytes.size()));
@@ -997,11 +796,7 @@ void LiveProxyServer::restore_engine_state() {
   }
   try {
     const core::SnapshotView view(bytes);
-    std::size_t users = 0;
-    {
-      const auto guard = engine_guard();
-      users = engine_->restore_from(view, now());
-    }
+    const std::size_t users = engine_->restore_from(view, now());
     log_info("net.proxy") << "warm restart: restored " << users << " users from "
                           << options_.state_snapshot_path << " (" << bytes.size()
                           << " bytes)";
@@ -1018,12 +813,12 @@ void LiveProxyServer::restore_engine_state() {
   }
 }
 
-void LiveProxyServer::dispatch(const std::shared_ptr<Conn>& conn) {
+void LiveProxyServer::dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn) {
   const SimTime received = now();
   // Admin requests (metrics scrapes, trace dumps) bypass the engine: they
-  // must not create user state or perturb learning. Served inline — no
-  // blocking work involved. The raw-target path check is exact for the
-  // origin-form requests the admin surface is scraped with.
+  // must not create user state or perturb learning. The raw-target path
+  // check is exact for the origin-form requests the admin surface is
+  // scraped with.
   if (is_admin_path(conn->request_view().path())) {
     const http::Request& request = conn->materialize_request();
     obs::RequestTrace trace;
@@ -1035,22 +830,21 @@ void LiveProxyServer::dispatch(const std::shared_ptr<Conn>& conn) {
     http::Response resp = handle_admin(request);
     trace.end_us = now();
     traces_.push(std::move(trace));
-    conn->complete(std::move(resp));
+    conn->complete(resp);
     return;
   }
-  workers_->submit([this, conn, received] {
-    try {
-      process_request(conn.get(), received);
-    } catch (const Error& e) {
-      // Engine exceptions (invalid argument/state on a reachable path) fail
-      // the one request as a 500 instead of escaping the worker thread.
-      log_warn("net.proxy") << "request failed: " << e.what();
-      conn->complete(internal_error_response());
-    }
-  });
+  try {
+    process_request(shard, conn, received);
+  } catch (const Error& e) {
+    // Engine exceptions (invalid argument/state on a reachable path) fail
+    // the one request as a 500 instead of unwinding the loop thread.
+    log_warn("net.proxy") << "request failed: " << e.what();
+    conn->complete(*internal_error_response());
+  }
 }
 
-void LiveProxyServer::process_request(Conn* conn, SimTime received) {
+void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Conn>& conn,
+                                      SimTime received) {
   // One logical user per connection source; for the loopback demo each
   // client identifies itself with an X-Appx-User header (falling back to a
   // shared id). A production front end would key on client address.
@@ -1058,18 +852,12 @@ void LiveProxyServer::process_request(Conn* conn, SimTime received) {
   // The user is resolved into a core::Session once per (connection, user)
   // pair, cached on the connection; subsequent requests reuse the interned
   // UserId so steady-state events skip the name lookup (and, on the sharded
-  // runtime, go straight to the owning shard). The cache is safe lock-free:
-  // a connection has at most one request in flight, so one worker touches it
-  // at a time, hand-offs sequenced through the loop.
-  //
-  // The user name is read from the zero-copy view (no header-value copy);
-  // the owning request is materialized into the connection's reusable
-  // scratch only after that, for the engine.
+  // runtime, go straight to the owning shard). The name is read from the
+  // zero-copy view; the owning request is materialized only after that.
   const std::string_view user = conn->request_view().header("X-Appx-User").value_or("default");
 
   auto session_it = conn->sessions.find(user);
   if (session_it == conn->sessions.end()) {
-    const auto resolve_guard = engine_guard();
     session_it =
         conn->sessions.emplace(std::string(user), engine_->session(std::string(user), now()))
             .first;
@@ -1089,12 +877,9 @@ void LiveProxyServer::process_request(Conn* conn, SimTime received) {
   trace.target = upstream_request.uri.path;
   trace.start_us = received;
 
-  core::Decision decision;
-  {
-    const auto guard = engine_guard();
-    decision = session.on_request(upstream_request, now());
-  }
+  core::Decision decision = session.on_request(upstream_request, now());
   trace.add_span("decide", received, now());
+  prefetches_inflight_.fetch_add(decision.prefetches.size());
   if (decision.served) {
     // The served response stays shared with the proxy's cache: the write
     // queue holds the refcount and the hit marker is stamped into the head
@@ -1104,137 +889,148 @@ void LiveProxyServer::process_request(Conn* conn, SimTime received) {
     trace.end_us = now();
     client_hit_us_->record(trace.end_us - received);
     traces_.push(std::move(trace));
-    enqueue_jobs(std::move(decision.prefetches));
-    conn->complete(std::move(decision.served), "X-Appx-Cache: hit");
+    conn->complete(*decision.served, "X-Appx-Cache: hit");
+    issue_prefetches(shard, std::move(decision.prefetches));
     return;
   }
-  enqueue_jobs(std::move(decision.prefetches));
 
+  // The request, the session and the connection's views stay valid until
+  // complete(): the callback holds the connection.
   const SimTime fetch_start = now();
-  std::shared_ptr<const http::Response> response = fetch_upstream(upstream_request);
-  trace.add_span("forward", fetch_start, now(), "status=" + std::to_string(response->status));
-  const SimTime learn_start = now();
-  core::Decision learned;
-  {
-    const auto guard = engine_guard();
-    learned = session.on_response(upstream_request, *response, now());
-  }
-  trace.add_span("learn", learn_start, now());
-  enqueue_jobs(std::move(learned.prefetches));
-  trace.outcome = response->status >= 500 ? "error" : "miss";
-  trace.end_us = now();
-  client_miss_us_->record(trace.end_us - received);
-  traces_.push(std::move(trace));
-  conn->complete(std::move(response), "X-Appx-Cache: miss");
-}
-
-void LiveProxyServer::enqueue_jobs(std::vector<core::PrefetchJob> jobs) {
-  if (jobs.empty()) return;
-  std::vector<core::PrefetchJob> dropped;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (core::PrefetchJob& job : jobs) {
-      prefetch_queue_.push_back(std::move(job));
-    }
-    // Bounded queue: shed the lowest-priority job first so a burst of
-    // low-value arrivals cannot push out a high-value job already waiting.
-    // The first minimum wins ties, which sheds the oldest among equals —
-    // the job most likely to be stale by the time a worker reaches it.
-    while (options_.max_prefetch_queue > 0 &&
-           prefetch_queue_.size() > options_.max_prefetch_queue) {
-      const auto victim = std::min_element(
-          prefetch_queue_.begin(), prefetch_queue_.end(),
-          [](const core::PrefetchJob& a, const core::PrefetchJob& b) {
-            return a.priority < b.priority;
-          });
-      dropped.push_back(std::move(*victim));
-      prefetch_queue_.erase(victim);
-    }
-    queue_depth_->set(static_cast<std::int64_t>(prefetch_queue_.size()));
-  }
-  queue_cv_.notify_all();
-  if (!dropped.empty()) {
-    queue_dropped_ += dropped.size();
-    queue_dropped_total_->add(static_cast<std::int64_t>(dropped.size()));
-    const auto guard = engine_guard();
-    for (core::PrefetchJob& job : dropped) {
-      try {
-        engine_->on_prefetch_dropped(job.uid, job, now());
-      } catch (const Error& e) {
-        log_warn("net.proxy") << "prefetch drop notification failed: " << e.what();
-      }
-    }
-  }
-}
-
-std::deque<core::PrefetchJob>::iterator LiveProxyServer::next_job_locked() {
-  for (auto it = prefetch_queue_.begin(); it != prefetch_queue_.end(); ++it) {
-    if (busy_users_.find(it->user) == busy_users_.end()) return it;
-  }
-  return prefetch_queue_.end();
-}
-
-void LiveProxyServer::prefetch_worker() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  while (true) {
-    queue_cv_.wait(lock, [this] {
-      return stopping_.load() || next_job_locked() != prefetch_queue_.end();
-    });
-    if (stopping_.load()) return;
-    const auto it = next_job_locked();
-    core::PrefetchJob job = std::move(*it);
-    prefetch_queue_.erase(it);
-    queue_depth_->set(static_cast<std::int64_t>(prefetch_queue_.size()));
-    busy_users_.insert(job.user);
-    ++prefetch_active_;
-    lock.unlock();
-
-    obs::RequestTrace trace;
-    trace.user = job.user;
-    trace.method = job.request.method;
-    trace.target = job.request.uri.path;
-    trace.outcome = "prefetch";
-    trace.start_us = now();
-    const SimTime started = now();
-    core::Decision chained;
+  auto on_fetched = [this, &shard, conn, &session, &upstream_request, received, fetch_start,
+                     trace = std::move(trace)](
+                        std::shared_ptr<const http::Response> response, Duration) mutable {
+    if (!response) return;  // server stopping: the connection is already closed
+    trace.add_span("forward", fetch_start, now(), "status=" + std::to_string(response->status));
+    const SimTime learn_start = now();
+    core::Decision learned;
     try {
-      // Shares the keep-alive pool with the miss path: prefetch fan-out rides
-      // warm origin connections instead of causing a connect storm.
-      const std::shared_ptr<const http::Response> response = fetch_upstream(job.request);
-      const SimTime fetched = now();
-      prefetch_fetch_us_->record(fetched - started);
-      trace.add_span("fetch", started, fetched, "sig=" + job.sig_id);
-      {
-        const auto guard = engine_guard();
-        engine_->on_prefetch_response(job.uid, job, *response, now(),
-                                      to_ms(now() - started), &chained);
-      }
-      trace.add_span("learn", fetched, now());
+      learned = session.on_response(upstream_request, *response, now());
     } catch (const Error& e) {
-      // A throwing engine event loses this one job; the worker (and process)
-      // stay up to serve the rest of the queue.
-      log_warn("net.proxy") << "prefetch failed: " << e.what();
-      trace.outcome = "prefetch_error";
+      log_warn("net.proxy") << "request failed: " << e.what();
+      conn->complete(*internal_error_response());
+      return;
     }
+    trace.add_span("learn", learn_start, now());
+    trace.outcome = response->status >= 500 ? "error" : "miss";
     trace.end_us = now();
+    client_miss_us_->record(trace.end_us - received);
     traces_.push(std::move(trace));
-    enqueue_jobs(std::move(chained.prefetches));  // chained prefetching
+    prefetches_inflight_.fetch_add(learned.prefetches.size());
+    conn->complete(*response, "X-Appx-Cache: miss");
+    issue_prefetches(shard, std::move(learned.prefetches));
+  };
+  shard.upstream->fetch(upstream_request, std::move(on_fetched));
+  issue_prefetches(shard, std::move(decision.prefetches));
+}
 
-    lock.lock();
-    busy_users_.erase(job.user);
-    --prefetch_active_;
-    if (prefetch_queue_.empty() && prefetch_active_ == 0) idle_cv_.notify_all();
-    // Releasing this user may make its next queued job eligible for another
-    // worker that went to sleep while the user was busy.
-    queue_cv_.notify_all();
+void LiveProxyServer::issue_prefetches(LoopShard& shard, std::vector<core::PrefetchJob> jobs) {
+  for (core::PrefetchJob& job : jobs) {
+    auto owned = std::make_shared<core::PrefetchJob>(std::move(job));
+    const http::Request& request = owned->request;
+    shard.upstream->fetch(
+        request,
+        [this, &shard, owned = std::move(owned), issued = now()](
+            std::shared_ptr<const http::Response> response, Duration waited) mutable {
+          on_prefetch_fetched(shard, std::move(owned), issued, waited, std::move(response));
+        },
+        /*background=*/true);
+  }
+}
+
+void LiveProxyServer::on_prefetch_fetched(LoopShard& shard, std::shared_ptr<core::PrefetchJob> job,
+                                          SimTime issued, Duration waited,
+                                          std::shared_ptr<const http::Response> response) {
+  if (!response) {
+    prefetch_dropped(*job);
+    return;
+  }
+  const SimTime fetched = now();
+  prefetch_fetch_us_->record(fetched - issued - waited);
+  shard.learn_backlog.push_back(
+      FetchedPrefetch{std::move(job), issued, issued + waited, fetched, std::move(response)});
+  if (shard.learn_timer == 0) {
+    shard.learn_timer = shard.loop->add_timer(std::chrono::steady_clock::now(),
+                                              [this, &shard] { learn_slice(shard); });
+  }
+}
+
+void LiveProxyServer::learn_slice(LoopShard& shard) {
+  shard.learn_timer = 0;
+  const auto until = std::chrono::steady_clock::now() + kLearnSlice;
+  while (!shard.learn_backlog.empty()) {
+    FetchedPrefetch fetched = std::move(shard.learn_backlog.front());
+    shard.learn_backlog.pop_front();
+    learn_prefetch(shard, fetched);
+    if (std::chrono::steady_clock::now() >= until) break;
+  }
+  if (!shard.learn_backlog.empty()) {
+    // Due at once, so it runs in the next iteration — after the client
+    // events that iteration's wait returns.
+    shard.learn_timer = shard.loop->add_timer(std::chrono::steady_clock::now(),
+                                              [this, &shard] { learn_slice(shard); });
+  }
+}
+
+void LiveProxyServer::learn_prefetch(LoopShard& shard, FetchedPrefetch& fetched) {
+  core::PrefetchJob& job = *fetched.job;
+  obs::RequestTrace trace;
+  trace.user = job.user;
+  trace.method = job.request.method;
+  trace.target = job.request.uri.path;
+  trace.outcome = "prefetch";
+  trace.start_us = fetched.issued;
+  trace.add_span("fetch", fetched.sent, fetched.fetched, "sig=" + job.sig_id);
+  const SimTime learn_start = now();
+  core::Decision chained;
+  try {
+    // The origin's time alone: waiting for a connection slot or for this
+    // slice is queueing, not response time.
+    engine_->on_prefetch_response(job.uid, job, *fetched.response, learn_start,
+                                  to_ms(fetched.fetched - fetched.sent), &chained);
+    trace.add_span("learn", learn_start, now());
+  } catch (const Error& e) {
+    // A throwing engine event loses this one job; the loop serves on.
+    log_warn("net.proxy") << "prefetch failed: " << e.what();
+    trace.outcome = "prefetch_error";
+  }
+  trace.end_us = now();
+  traces_.push(std::move(trace));
+  // Chained prefetching: follow-ups count before this job stops counting,
+  // so drain_prefetches() never sees a false zero between them.
+  prefetches_inflight_.fetch_add(chained.prefetches.size());
+  issue_prefetches(shard, std::move(chained.prefetches));
+  if (prefetches_inflight_.fetch_sub(1) == 1) prefetches_inflight_.notify_all();
+}
+
+void LiveProxyServer::prefetch_dropped(core::PrefetchJob& job) {
+  try {
+    engine_->on_prefetch_dropped(job.uid, job, now());
+  } catch (const Error& e) {
+    // Runs from stop(), which the destructor calls: a throwing engine must
+    // not escape it and terminate.
+    log_warn("net.proxy") << "prefetch drop notification failed: " << e.what();
+  }
+  if (prefetches_inflight_.fetch_sub(1) == 1) prefetches_inflight_.notify_all();
+}
+
+void LiveProxyServer::close_upstream(LoopShard& shard) {
+  shard.upstream->close_all();  // in-flight prefetches resolve as dropped
+  if (shard.learn_timer != 0) {
+    shard.loop->cancel_timer(shard.learn_timer);
+    shard.learn_timer = 0;
+  }
+  while (!shard.learn_backlog.empty()) {
+    FetchedPrefetch fetched = std::move(shard.learn_backlog.front());
+    shard.learn_backlog.pop_front();
+    prefetch_dropped(*fetched.job);
   }
 }
 
 void LiveProxyServer::drain_prefetches() {
-  std::unique_lock<std::mutex> lock(queue_mutex_);
-  idle_cv_.wait(lock, [this] {
-    return stopping_.load() || (prefetch_queue_.empty() && prefetch_active_ == 0);
-  });
+  for (std::size_t n = prefetches_inflight_.load(); n != 0; n = prefetches_inflight_.load()) {
+    prefetches_inflight_.wait(n);
+  }
 }
 
 }  // namespace appx::net

@@ -9,16 +9,16 @@
 //     keep-alive.
 //   * LiveProxyServer — accepts client connections, serves exact matches
 //     from the engine's cache (tagging them "X-Appx-Cache: hit"), forwards
-//     misses upstream, and runs dynamic learning + prefetching on a pool of
-//     worker threads (paper §5: "we assign different worker threads to
-//     handle dynamic learning and prefetching").
+//     misses upstream, and runs dynamic learning + prefetching (paper §5)
+//     on the same event loops.
 //
-// Network runtime (replacing the seed's thread-per-connection servers):
+// Network runtime:
 //   * N event-loop threads (EngineOptions.loop_threads, default
 //     hardware_concurrency), each owning one event loop
 //     (EngineOptions.io_backend: epoll or io_uring, DESIGN.md §5l) and one
 //     SO_REUSEPORT listener on the shared port — the kernel shards accepted
 //     connections across loops, no accept lock, no per-connection thread.
+//     These are the proxy's only threads.
 //   * All socket I/O is one model on either backend: completion ops
 //     (submit_accept, submit_recv, submit_sendmsg, cancel_fd). Each
 //     connection is a non-blocking Conn state machine pinned to its loop
@@ -29,34 +29,26 @@
 //     timer-heap idle timeout reaps silent or slow-loris connections. On
 //     uring a whole warm exchange rides one batched io_uring_enter; on epoll
 //     it is one recv per readiness and one inline sendmsg.
-//   * Engine events and blocking upstream I/O never run on a loop thread:
-//     complete requests are handed to EngineOptions.request_workers threads
-//     that drive the session API (shard mutexes can block a worker, never a
-//     reactor) and post the finished response back to the owning loop.
-//   * Upstream fetches — miss path and prefetch workers alike — draw
-//     per-host keep-alive connections from an UpstreamPool instead of
-//     reconnecting per fetch; stale pooled sockets are health-checked on
-//     reuse and retried once on a fresh connect when they fail at use.
-//
-// Liveness and resource bounds (carried over from the blocking runtime):
-//   * Upstream fetches carry connect/read/write timeouts and a per-request
-//     deadline; a dead origin degrades to a 504 instead of hanging a worker.
-//   * Prefetching runs on N workers over a shared bounded queue with
-//     per-user ordering; overflow sheds the lowest-priority job (the oldest
-//     among ties) back to the engine.
-//   * stop() closes listeners and live connections, unblocks in-flight
-//     upstream fetches via the pool, and joins every thread.
+//   * The whole request path runs on the loop that owns the connection:
+//     engine events are called inline (the engine must be thread-safe —
+//     loops call it concurrently), and origin exchanges — miss and prefetch
+//     alike — run on the loop's own UpstreamClient (net/upstream.hpp) with
+//     per-loop keep-alive connections and a deadline timer each. Every
+//     prefetch job a Decision carries is issued as soon as the client's
+//     response is queued; the engine's per-user scheduler window is the only
+//     prefetch queue. Demand goes first on a loop: prefetch exchanges wait
+//     for a connection slot past `upstream_pool_per_host` per origin, and
+//     their responses are learned in bounded slices between client events.
+//   * stop() closes listeners, live connections and origin exchanges on
+//     every loop (in-flight prefetches resolve as dropped) and joins the
+//     loop threads.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,7 +60,7 @@
 #include "net/event_loop.hpp"
 #include "net/http_io.hpp"
 #include "net/socket.hpp"
-#include "net/upstream_pool.hpp"
+#include "net/upstream.hpp"
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
@@ -77,34 +69,27 @@ namespace appx::net {
 
 class Conn;
 
-// One reactor thread: an event loop plus its SO_REUSEPORT listener and the
-// connections the kernel sharded onto it. Connections are owned here and
-// never migrate between shards.
+// A prefetch response waiting for the engine to learn it (LiveProxyServer).
+struct FetchedPrefetch {
+  std::shared_ptr<core::PrefetchJob> job;
+  SimTime issued = 0;   // exchange issued
+  SimTime sent = 0;     // exchange got an origin connection
+  SimTime fetched = 0;  // response in hand
+  std::shared_ptr<const http::Response> response;
+};
+
+// One reactor thread: an event loop plus its SO_REUSEPORT listener, the
+// connections the kernel sharded onto it and (proxy only) its origin client
+// and the prefetch responses it has yet to learn. Connections are owned here
+// and never migrate between shards.
 struct LoopShard {
   std::unique_ptr<EventLoop> loop;
   std::unique_ptr<TcpListener> listener;
   std::map<int, std::shared_ptr<Conn>> conns;  // loop-thread only
   std::thread thread;
-};
-
-// A fixed pool of threads running engine events and blocking upstream I/O so
-// the reactors never block. Tasks queued but unstarted at stop() are
-// destroyed, not run (their captured connection handles release via RAII).
-class WorkerPool {
- public:
-  explicit WorkerPool(std::size_t workers);
-  ~WorkerPool();
-  void submit(std::function<void()> task);
-  void stop();
-
- private:
-  void worker();
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> threads_;
+  std::unique_ptr<UpstreamClient> upstream;  // loop-thread only
+  std::deque<FetchedPrefetch> learn_backlog;  // loop-thread only
+  std::uint64_t learn_timer = 0;              // armed while the backlog is non-empty
 };
 
 class LiveOriginServer {
@@ -152,11 +137,12 @@ class LiveOriginServer {
 class LiveProxyServer {
  public:
   // Routes upstream connections by request host: host -> 127.0.0.1:port.
-  using UpstreamMap = std::map<std::string, std::uint16_t>;
+  using UpstreamMap = UpstreamClient::Routes;
 
-  // `engine` must outlive the server (any ProxyLike: the sharded APPx
-  // runtime, a single-shard engine, or a baseline). Throws InvalidArgument
-  // when options.validate() fails — bad bounds are rejected, never clamped.
+  // `engine` must outlive the server and be thread-safe (ShardedProxyEngine,
+  // or any ProxyLike whose thread_safe() is true): every loop thread calls it
+  // concurrently. Throws InvalidArgument for an engine that is not, or when
+  // options.validate() fails — bad bounds are rejected, never clamped.
   LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams, std::uint16_t port = 0,
                   core::EngineOptions options = {});
   ~LiveProxyServer();
@@ -167,17 +153,13 @@ class LiveProxyServer {
   const core::EngineOptions& options() const { return options_; }
   void stop();
 
-  // Blocks until the prefetch queue is empty and no prefetch is in flight
-  // (used by tests and demos to observe a settled cache).
+  // Blocks until every issued prefetch is fetched and learned (used by
+  // tests and demos to observe a settled cache).
   void drain_prefetches();
 
   // Currently open client connections across all loops.
   std::size_t open_connections() const { return open_conns_.load(); }
   std::size_t loop_thread_count() const { return shards_.size(); }
-  // Prefetch jobs dropped by queue overflow.
-  std::size_t prefetch_jobs_dropped() const { return queue_dropped_.load(); }
-  // The shared origin-side keep-alive pool (reuse/connect/stale counters).
-  const UpstreamPool& upstream_pool() const { return *pool_; }
   // Reactor `index`'s event loop (index < loop_thread_count()), e.g. for
   // posting a measurement task onto its thread.
   EventLoop& loop(std::size_t index) const { return *shards_.at(index)->loop; }
@@ -192,13 +174,32 @@ class LiveProxyServer {
 
  private:
   // Loop-thread entry: admin requests answered inline, everything else
-  // dispatched to the request workers. The request rides on the connection
-  // as a zero-copy view (Conn::request_view) over its pinned parser buffer.
-  void dispatch(const std::shared_ptr<Conn>& conn);
+  // through the engine and, on a miss, `shard`'s origin client. The request
+  // rides on the connection as a zero-copy view (Conn::request_view) over
+  // its pinned parser buffer.
+  void dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn);
   std::shared_ptr<Conn> make_conn(LoopShard* shard, TcpStream stream);
-  // Worker-thread body: engine events + upstream fetch for one request.
-  // Calls Conn::complete exactly once (unless it throws).
-  void process_request(Conn* conn, SimTime received);
+  // Engine events + origin exchange for one request. Calls Conn::complete
+  // exactly once (now, or when the exchange resolves) unless it throws.
+  void process_request(LoopShard& shard, const std::shared_ptr<Conn>& conn, SimTime received);
+  // Start one background origin exchange per job on `shard`'s loop; each
+  // resolves as on_prefetch_response, or on_prefetch_dropped when the server
+  // stops first. The caller has already counted the jobs in
+  // prefetches_inflight_ — before the client's response leaves, so
+  // drain_prefetches() cannot miss them.
+  void issue_prefetches(LoopShard& shard, std::vector<core::PrefetchJob> jobs);
+  // Exchange resolved: queue the response for learning (null: dropped).
+  void on_prefetch_fetched(LoopShard& shard, std::shared_ptr<core::PrefetchJob> job,
+                           SimTime issued, Duration waited,
+                           std::shared_ptr<const http::Response> response);
+  // Demand first: a zero-delay loop timer learns queued prefetch responses
+  // for at most one slice per loop iteration, so a burst of them delays the
+  // loop's client events by about one slice instead of the whole burst.
+  void learn_slice(LoopShard& shard);
+  void learn_prefetch(LoopShard& shard, FetchedPrefetch& fetched);
+  void prefetch_dropped(core::PrefetchJob& job);
+  // Stop path, on the loop: close origin exchanges, drop unlearned responses.
+  void close_upstream(LoopShard& shard);
   http::Response handle_admin(const http::Request& request);
   // Durable learned state (DESIGN.md §5k): render the engine's learned state
   // as one binary snapshot container / restore it from the configured path
@@ -206,23 +207,6 @@ class LiveProxyServer {
   // start, never a construction failure).
   std::vector<std::uint8_t> serialize_engine_state();
   void restore_engine_state();
-  void prefetch_worker();
-  // Queue the jobs an engine event decided to issue; overflow sheds the
-  // lowest-priority queued job, the oldest among ties, back into the engine
-  // (outstanding window released).
-  void enqueue_jobs(std::vector<core::PrefetchJob> jobs);
-  // Serialises engine access for engines that need it; returns an unlocked
-  // (empty) guard when the engine synchronises itself (ShardedProxyEngine),
-  // so shard-parallel events never funnel through one server mutex.
-  std::unique_lock<std::mutex> engine_guard();
-  // Oldest queued job whose user is not being worked on (per-user ordering),
-  // or end() when no job is eligible. Call with queue_mutex_ held.
-  std::deque<core::PrefetchJob>::iterator next_job_locked();
-  // Fetch through the keep-alive pool; a reused connection that fails at use
-  // is retried once on a fresh connect. Degrades to canned 502/504 (shared
-  // singletons — no per-failure assembly). The shared_ptr lets the response
-  // ride to the client's write queue without copying.
-  std::shared_ptr<const http::Response> fetch_upstream(const http::Request& request);
   SimTime now() const;
 
   core::ProxyLike* engine_;
@@ -231,8 +215,9 @@ class LiveProxyServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> open_conns_{0};
-
-  std::mutex engine_mutex_;  // unused when engine_->thread_safe()
+  // Prefetch jobs issued and not yet resolved (fetching, or waiting to be
+  // learned) across all loops; drain_prefetches waits for zero.
+  std::atomic<std::size_t> prefetches_inflight_{0};
 
   // Transport-level observability. own_registry_ backs registry_ only for
   // engines without one; metric pointers are resolved once in the ctor.
@@ -243,8 +228,6 @@ class LiveProxyServer {
   obs::Histogram* prefetch_fetch_us_ = nullptr;  // upstream fetch, prefetch path
   obs::Histogram* accept_to_first_byte_us_ = nullptr;
   obs::Counter* admin_requests_ = nullptr;
-  obs::Counter* queue_dropped_total_ = nullptr;
-  obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* conns_gauge_ = nullptr;
   obs::TraceRing traces_{128};
   std::unique_ptr<obs::SnapshotWriter> snapshot_writer_;
@@ -253,19 +236,7 @@ class LiveProxyServer {
   obs::Gauge* state_bytes_gauge_ = nullptr;    // appx_state_snapshot_bytes
   obs::Gauge* state_last_ms_gauge_ = nullptr;  // appx_state_snapshot_last_unix_ms
 
-  std::unique_ptr<UpstreamPool> pool_;
-  std::unique_ptr<WorkerPool> workers_;
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::condition_variable idle_cv_;
-  std::deque<core::PrefetchJob> prefetch_queue_;
-  std::set<std::string> busy_users_;   // users with a job being processed
-  std::size_t prefetch_active_ = 0;    // jobs currently being processed
-  std::atomic<std::size_t> queue_dropped_{0};
-
   std::vector<std::unique_ptr<LoopShard>> shards_;
-  std::vector<std::thread> prefetchers_;
   std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 

@@ -177,23 +177,7 @@ void TcpStream::apply_send_timeout(Duration timeout) {
   applied_send_timeout_ = timeout;
 }
 
-void TcpStream::write_all(std::string_view data) {
-  std::size_t written = 0;
-  while (written < data.size()) {
-    apply_send_timeout(effective_timeout(write_timeout_));
-    const ssize_t n =
-        ::send(fd_.get(), data.data() + written, data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw TimeoutError("send: timed out");
-      }
-      fail_errno("send");
-    }
-    if (n == 0) throw Error("send: connection closed");
-    written += static_cast<std::size_t>(n);
-  }
-}
+void TcpStream::write_all(std::string_view data) { writev_all(data, {}); }
 
 std::size_t TcpStream::read_some(char* buffer, std::size_t max) {
   while (true) {

@@ -57,11 +57,14 @@ class TcpStream {
                            Duration timeout = 0);
 
   // Begin a non-blocking connect to a numeric IPv4 address (event-loop
-  // clients: the open-loop load generator drives thousands of concurrent
-  // connects through one epoll thread). Returns a non-blocking stream whose
-  // connect is in progress (or already complete); register its fd for
-  // EPOLLOUT and call connect_result() when it fires. Throws appx::Error
-  // only on immediate local failure (bad address, out of descriptors).
+  // clients: the proxy's origin exchanges, and the open-loop load generator
+  // driving thousands of concurrent connects through one epoll thread).
+  // Returns a non-blocking stream whose connect is in progress (or already
+  // complete); either register its fd for EPOLLOUT and call
+  // connect_result() when it fires, or submit a sendmsg op, which completes
+  // once the connection is up (or with the connect error). Throws
+  // appx::Error only on immediate local failure (bad address, out of
+  // descriptors).
   static TcpStream begin_connect(const std::string& ip, std::uint16_t port);
 
   // Resolve a begin_connect: 0 when the connection is established, else the
@@ -80,7 +83,6 @@ class TcpStream {
   // Implements per-request deadlines (a slow-but-not-silent peer cannot
   // stretch a request forever by trickling bytes).
   void set_deadline(std::chrono::steady_clock::time_point deadline) { deadline_ = deadline; }
-  void clear_deadline() { deadline_.reset(); }
 
   // Write the whole buffer; throws on error/EOF, TimeoutError on deadline.
   void write_all(std::string_view data);

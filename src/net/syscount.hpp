@@ -1,14 +1,15 @@
 // In-process syscall accounting for the serving data plane (DESIGN.md §5l).
 //
 // Every syscall the network runtime issues on its own behalf — reactor waits,
-// interest-set updates, socket reads/writes, accepts, loop wakeups,
-// io_uring_enter/register — passes through count() at the call site. The
+// interest-set updates, socket reads/writes (origin exchanges included),
+// accepts, loop wakeups, io_uring_enter/register — passes through count() at
+// the call site. The
 // counters are process-wide relaxed atomics: recording costs one uncontended
 // add, works identically under sanitizers and in CI containers where ptrace
 // is blocked, and is deterministic (a ptrace/strace self-fork also counts the
 // tracer's own noise and is forbidden in many sandboxes). Deliberately NOT
-// counted: blocking client/upstream sockets (TcpStream used by tests,
-// benches and the upstream pool — not the warm-hit serving path) and futex
+// counted: blocking client sockets (TcpStream I/O in tests and benches — not
+// the serving path), the connect() opening an upstream connection, and futex
 // traffic from mutex/condvar scheduling, which both backends pay equally.
 //
 // bench_syscalls drives the warm-hit path through a live proxy, diffs
@@ -25,8 +26,8 @@ namespace appx::net::sys {
 enum class Op : unsigned {
   kWait = 0,   // epoll_wait
   kCtl,        // epoll_ctl (add/mod/del)
-  kRead,       // recv/read on a served connection (+ wakeup-eventfd drains)
-  kWrite,      // sendmsg/writev on a served connection
+  kRead,       // recv/read on a loop-owned socket (+ wakeup-eventfd drains)
+  kWrite,      // sendmsg on a loop-owned socket
   kAccept,     // accept4
   kWake,       // eventfd write from post()/stop()
   kEnter,      // io_uring_enter

@@ -84,25 +84,23 @@ class BlackHole {
   std::vector<TcpStream> held_;
 };
 
-// An origin that serves everything except detail lookups for items other
-// than `allowed_cid`: those it swallows and never answers (a selectively
-// hung backend). The client path stays healthy — only the proxy's
-// sibling-item prefetches hit the hang.
-class SelectiveHangOrigin {
+// A blocking origin with one thread per accepted connection, each running
+// `serve`. The destructor stops accepting and joins every handler, which
+// return once their peer closes. Declare it after the state `serve` uses.
+class ThreadedOrigin {
  public:
-  SelectiveHangOrigin(apps::OriginServer* origin, std::string allowed_cid)
-      : origin_(origin), allowed_cid_(std::move(allowed_cid)), listener_(0) {
+  explicit ThreadedOrigin(std::function<void(TcpStream)> serve)
+      : serve_(std::move(serve)), listener_(0) {
     acceptor_ = std::thread([this] {
       while (true) {
         TcpStream stream = listener_.accept();
         if (!stream.valid()) return;
         const std::lock_guard<std::mutex> lock(mutex_);
-        handlers_.emplace_back([this](TcpStream s) { serve(std::move(s)); },
-                               std::move(stream));
+        handlers_.emplace_back(serve_, std::move(stream));
       }
     });
   }
-  ~SelectiveHangOrigin() {
+  ~ThreadedOrigin() {
     listener_.close();
     if (acceptor_.joinable()) acceptor_.join();
     std::vector<std::thread> handlers;
@@ -113,6 +111,24 @@ class SelectiveHangOrigin {
     for (std::thread& t : handlers) t.join();
   }
   std::uint16_t port() const { return listener_.port(); }
+
+ private:
+  std::function<void(TcpStream)> serve_;
+  TcpListener listener_;
+  std::thread acceptor_;
+  std::mutex mutex_;
+  std::vector<std::thread> handlers_;
+};
+
+// An origin that serves everything except detail lookups for items other
+// than `allowed_cid`: those it swallows and never answers (a selectively
+// hung backend). The client path stays healthy — only the proxy's
+// sibling-item prefetches hit the hang.
+class SelectiveHangOrigin {
+ public:
+  SelectiveHangOrigin(apps::OriginServer* origin, std::string allowed_cid)
+      : origin_(origin), allowed_cid_(std::move(allowed_cid)) {}
+  std::uint16_t port() const { return server_.port(); }
   std::size_t hung_requests() const { return hung_.load(); }
 
  private:
@@ -148,12 +164,9 @@ class SelectiveHangOrigin {
 
   apps::OriginServer* origin_;
   std::string allowed_cid_;
-  TcpListener listener_;
-  std::thread acceptor_;
-  std::mutex mutex_;
   std::mutex origin_mutex_;
-  std::vector<std::thread> handlers_;
   std::atomic<std::size_t> hung_{0};
+  ThreadedOrigin server_{[this](TcpStream s) { serve(std::move(s)); }};
 };
 
 double ms_since(std::chrono::steady_clock::time_point start) {
@@ -381,10 +394,10 @@ TEST_F(LiveProxyTest, ClosedConnectionsAreReleased) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(proxy_server_->open_connections(), 0u);
-  // The origin side may legitimately stay nonzero: the proxy parks keep-alive
-  // upstream connections in its pool. They must be bounded by the pool cap.
+  // The origin side may legitimately stay nonzero: each loop parks keep-alive
+  // upstream connections. They must be bounded by the per-loop cap.
   EXPECT_LE(origin_server_.open_connections(),
-            proxy_server_->options().upstream_pool_per_host);
+            proxy_server_->loop_thread_count() * proxy_server_->options().upstream_pool_per_host);
 }
 
 TEST_F(LiveProxyTest, OversizedRequestHeadIs431) {
@@ -424,8 +437,6 @@ TEST(LiveOrigin, OversizedRequestHeadIs431) {
 TEST_F(LiveProxyTest, HungUpstreamDegradesTo504WithinDeadline) {
   BlackHole hole;
   core::EngineOptions options;
-  options.connect_timeout = seconds(2);
-  options.io_timeout = milliseconds(200);
   options.request_deadline = milliseconds(400);
   LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = hole.port();
@@ -450,11 +461,7 @@ TEST_F(LiveProxyTest, HungPrefetchUpstreamDoesNotWedgeOtherUsers) {
   // within the deadline while client traffic and other users keep flowing.
   SelectiveHangOrigin hang(&origin_, feed_item_id(0));
   core::EngineOptions options;
-  options.connect_timeout = seconds(2);
-  options.io_timeout = milliseconds(100);
   options.request_deadline = milliseconds(150);
-  options.prefetch_workers = 2;
-  options.max_prefetch_queue = 8;  // shed most of the doomed sibling jobs
   LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = hang.port();
   LiveProxyServer proxy(adapter_.get(), std::move(upstreams), 0, options);
@@ -478,9 +485,6 @@ TEST_F(LiveProxyTest, HungPrefetchUpstreamDoesNotWedgeOtherUsers) {
   EXPECT_GT(hang.hung_requests(), 0u);
   // ...and surfaced as deadline 504s -> prefetch failures, not wedges.
   EXPECT_GT(stats.prefetch_failures, 0u);
-  // The bounded queue shed overflow, and every shed job was reported back.
-  EXPECT_GT(proxy.prefetch_jobs_dropped(), 0u);
-  EXPECT_EQ(stats.prefetches_dropped, proxy.prefetch_jobs_dropped());
   // Every issued job was resolved exactly once: succeeded, failed or dropped.
   EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
             stats.prefetches_issued);
@@ -489,28 +493,80 @@ TEST_F(LiveProxyTest, HungPrefetchUpstreamDoesNotWedgeOtherUsers) {
   proxy.stop();
 }
 
-TEST_F(LiveProxyTest, PrefetchQueueOverflowDropsOldestAndBalances) {
-  core::EngineOptions options;
-  options.prefetch_workers = 1;
-  options.max_prefetch_queue = 2;
-  LiveProxyServer::UpstreamMap upstreams;
-  for (const apps::EndpointSpec& ep : spec_.endpoints) {
-    upstreams[ep.host] = origin_server_.port();
+// An origin (thread per connection) that holds every /product/get response
+// for `hold` and records the peak number of those requests in flight at once.
+class SlowDetailOrigin {
+ public:
+  SlowDetailOrigin(apps::OriginServer* origin, std::chrono::milliseconds hold)
+      : origin_(origin), hold_(hold) {}
+  std::uint16_t port() const { return server_.port(); }
+  std::size_t peak_detail_requests() const { return peak_.load(); }
+
+ private:
+  void serve(TcpStream stream) {
+    try {
+      HttpReader reader(&stream);
+      while (auto request = reader.read_request()) {
+        const bool detail = request->uri.path == "/product/get";
+        if (detail) {
+          const std::size_t now = ++in_flight_;
+          std::size_t peak = peak_.load();
+          while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+          }
+          std::this_thread::sleep_for(hold_);
+        }
+        http::Response response;
+        {
+          const std::lock_guard<std::mutex> lock(origin_mutex_);
+          response = origin_->serve(*request);
+        }
+        if (detail) --in_flight_;
+        write_response(stream, response);
+      }
+    } catch (const Error&) {
+      // The proxy closed the connection.
+    }
   }
-  LiveProxyServer proxy(adapter_.get(), std::move(upstreams), 0, options);
+
+  apps::OriginServer* origin_;
+  std::chrono::milliseconds hold_;
+  std::mutex origin_mutex_;
+  std::atomic<std::size_t> in_flight_{0};
+  std::atomic<std::size_t> peak_{0};
+  ThreadedOrigin server_{[this](TcpStream s) { serve(std::move(s)); }};
+};
+
+TEST_F(LiveProxyTest, OneUsersPrefetchFanOutRunsConcurrently) {
+  // Every job a Decision carries starts its origin exchange at once: the
+  // sibling-item fan-out of one detail view is fetched in parallel, bounded
+  // only by the user's scheduler window, not one job at a time.
+  SlowDetailOrigin slow(&origin_, std::chrono::milliseconds(100));
+  LiveProxyServer::UpstreamMap upstreams;
+  for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = slow.port();
+  LiveProxyServer proxy(adapter_.get(), std::move(upstreams));
 
   TestClient client(proxy.port(), "u1");
   ASSERT_TRUE(client.send(feed_request()).ok());
-  ASSERT_TRUE(client.send(detail_request(0)).ok());  // fans out ~30 jobs
+  ASSERT_TRUE(client.send(detail_request(0)).ok());  // fans out ~29 sibling jobs
+  const auto started = std::chrono::steady_clock::now();
   proxy.drain_prefetches();
+  EXPECT_LT(ms_since(started), 1500.0);
+  EXPECT_GE(slow.peak_detail_requests(), 8u);
 
   const auto& stats = adapter_->stats();
-  EXPECT_GT(proxy.prefetch_jobs_dropped(), 0u);
-  EXPECT_EQ(stats.prefetches_dropped, proxy.prefetch_jobs_dropped());
+  EXPECT_GT(stats.prefetches_issued, 8u);
   // Every issued job was resolved exactly once: succeeded, failed or dropped.
   EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
             stats.prefetches_issued);
+  EXPECT_EQ(client.send(detail_request(1)).headers.get("X-Appx-Cache").value(), "hit");
   proxy.stop();
+}
+
+TEST_F(LiveProxyTest, NonThreadSafeEngineIsRefused) {
+  // Every loop thread calls the engine; a single-shard engine would race.
+  core::ProxyEngine engine(&analysis_.signatures, &config_);
+  ASSERT_FALSE(engine.thread_safe());
+  EXPECT_THROW(LiveProxyServer(&engine, {}), InvalidArgumentError);
 }
 
 // --- /appx/* admin endpoints --------------------------------------------------
@@ -664,35 +720,17 @@ TEST_F(LiveProxyTest, PipelinedRequestsInOneSegmentAnswerInOrder) {
   EXPECT_EQ(detail_response->body, origin_.serve(detail_request(0)).body);
 }
 
-// A keep-alive origin that serves exactly one request per connection: the
-// second request on any connection is read and answered with a close instead.
-// Reproduces deterministically the stale-at-use race: the proxy's pooled
-// connection passes the reuse health check (no FIN yet — the origin is just
-// waiting in read), then dies mid-exchange.
+// A keep-alive origin that serves exactly one request per connection. With
+// `close_after_reply` it closes right after that response (a parked
+// connection the origin tears down); otherwise the second request on any
+// connection is read and answered with a close instead, which reproduces
+// deterministically the stale-at-use race: the proxy's parked connection
+// shows no FIN (the origin is just waiting in read), then dies mid-exchange.
 class OneShotOrigin {
  public:
-  OneShotOrigin() : listener_(0) {
-    acceptor_ = std::thread([this] {
-      while (true) {
-        TcpStream stream = listener_.accept();
-        if (!stream.valid()) return;
-        const std::lock_guard<std::mutex> lock(mutex_);
-        handlers_.emplace_back([this](TcpStream s) { serve(std::move(s)); },
-                               std::move(stream));
-      }
-    });
-  }
-  ~OneShotOrigin() {
-    listener_.close();
-    if (acceptor_.joinable()) acceptor_.join();
-    std::vector<std::thread> handlers;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      handlers.swap(handlers_);
-    }
-    for (std::thread& t : handlers) t.join();
-  }
-  std::uint16_t port() const { return listener_.port(); }
+  explicit OneShotOrigin(bool close_after_reply = false)
+      : close_after_reply_(close_after_reply) {}
+  std::uint16_t port() const { return server_.port(); }
 
  private:
   void serve(TcpStream stream) {
@@ -705,75 +743,25 @@ class OneShotOrigin {
         resp.body = "{}";
         write_response(stream, resp);
       }
-      // Wait for a second request, then close without answering: the pooled
-      // connection fails at use, not at the health check.
-      reader.read_request();
+      // Wait for a second request, then close without answering: the parked
+      // connection fails at use, not while parked.
+      if (!close_after_reply_) reader.read_request();
     } catch (const Error&) {
     }
   }
 
-  TcpListener listener_;
-  std::thread acceptor_;
-  std::mutex mutex_;
-  std::vector<std::thread> handlers_;
+  bool close_after_reply_;
+  ThreadedOrigin server_{[this](TcpStream s) { serve(std::move(s)); }};
 };
-
-TEST_F(LiveProxyTest, StalePooledUpstreamIsRetriedTransparently) {
-  OneShotOrigin origin;
-  LiveProxyServer::UpstreamMap upstreams;
-  for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = origin.port();
-  LiveProxyServer proxy(adapter_.get(), std::move(upstreams), 0, {});
-
-  TestClient client(proxy.port(), "stale-user");
-  // Miss #1: fresh connect; the connection is parked in the pool afterwards.
-  http::Request req = feed_request();
-  req.uri.add_query_param("variant", "a");
-  EXPECT_EQ(client.send(req).status, 200);
-  // Miss #2 reuses the parked connection, which the one-shot origin kills at
-  // use. The fetch must fail over to a fresh connect without the client
-  // seeing anything but a clean 200.
-  http::Request req2 = feed_request();
-  req2.uri.add_query_param("variant", "b");
-  EXPECT_EQ(client.send(req2).status, 200);
-
-  const UpstreamPool& pool = proxy.upstream_pool();
-  EXPECT_GE(pool.reuses(), 1u);
-  EXPECT_EQ(pool.retries(), 1u);
-  EXPECT_EQ(pool.connects(), 2u);  // one per actually-used origin connection
-  proxy.stop();
-}
-
-TEST_F(LiveProxyTest, PoolReusesConnectionAcrossSequentialMisses) {
-  // Sequential unique misses ride ONE warm upstream connection instead of
-  // reconnecting per fetch (the seed behavior this PR replaces).
-  TestClient client(proxy_server_->port(), "pool-user");
-  constexpr int kMisses = 12;
-  for (int i = 0; i < kMisses; ++i) {
-    http::Request req = feed_request();
-    req.uri.add_query_param("unique", std::to_string(i));
-    const auto response = client.send(req);
-    EXPECT_EQ(response.headers.get("X-Appx-Cache").value_or(""), "miss");
-  }
-  proxy_server_->drain_prefetches();
-  const UpstreamPool& pool = proxy_server_->upstream_pool();
-  EXPECT_GE(pool.reuses(), static_cast<std::uint64_t>(kMisses - 1));
-  // Warm-path reuse fraction >= 90%: at most one fresh connect per
-  // concurrently-needed upstream connection (sequential client => 1).
-  EXPECT_GE(static_cast<double>(pool.reuses()) /
-                static_cast<double>(pool.reuses() + pool.connects()),
-            0.9);
-}
 
 TEST_F(LiveProxyTest, StopDuringInFlightRequestsIsPromptAndLeakFree) {
   // Clients are mid-request against a black-hole upstream when stop() lands:
-  // it must unblock the in-flight fetches (pool shutdown), close every
-  // connection, and join all threads promptly. ASan/TSan verify no fd or
-  // memory leaks and no races.
+  // it must abandon the in-flight origin exchanges, close every connection,
+  // and join all threads promptly. ASan/TSan verify no fd or memory leaks and
+  // no races.
   BlackHole hole;
   core::EngineOptions options;
-  options.connect_timeout = seconds(2);
-  options.io_timeout = seconds(10);       // deliberately long: stop must cut it
-  options.request_deadline = seconds(10);
+  options.request_deadline = seconds(10);  // deliberately long: stop must cut it
   LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = hole.port();
   auto proxy = std::make_unique<LiveProxyServer>(adapter_.get(), std::move(upstreams), 0,
@@ -809,8 +797,8 @@ TEST_F(LiveProxyTest, StopDuringInFlightRequestsIsPromptAndLeakFree) {
 
 // An engine whose event entry points all throw — stand-in for the reachable
 // InvalidArgument/InvalidState throws in the real engines. The runtime must
-// convert these into per-request 500s, never let them unwind a worker or
-// loop thread (std::terminate).
+// convert these into per-request 500s, never let them unwind a loop thread
+// (std::terminate).
 class ThrowingEngine : public core::ProxyLike {
  public:
   core::UserId resolve_user(std::string_view user, SimTime) override {
@@ -849,8 +837,8 @@ TEST(LiveProxyFaults, ThrowingEngineAnswers500AndServerSurvives) {
   req.uri = http::Uri::parse("https://any.example/x");
   const auto first = client.send(req);
   EXPECT_EQ(first.status, 500);
-  // The worker thread survived the throw: the same keep-alive connection
-  // serves the next request (which throws and 500s again).
+  // The loop survived the throw: the same keep-alive connection serves the
+  // next request (which throws and 500s again).
   const auto second = client.send(req);
   EXPECT_EQ(second.status, 500);
   EXPECT_GE(engine.throws_.load(), 2);
@@ -859,32 +847,278 @@ TEST(LiveProxyFaults, ThrowingEngineAnswers500AndServerSurvives) {
   proxy.stop();
 }
 
-TEST(UpstreamPoolTest, AbandonedLeaseUnregistersItsFd) {
-  const apps::AppSpec spec = apps::make_wish();
-  apps::OriginServer origin(&spec);
-  LiveOriginServer server(&origin);
+// Forwards to a real engine but spends `learn_cost` in every prefetch
+// response event, standing in for an expensive learning step.
+class SlowLearningEngine : public core::ProxyLike {
+ public:
+  SlowLearningEngine(core::ProxyLike* inner, std::chrono::milliseconds learn_cost)
+      : inner_(inner), learn_cost_(learn_cost) {}
+  core::UserId resolve_user(std::string_view user, SimTime now) override {
+    return inner_->resolve_user(user, now);
+  }
+  void on_request(core::UserId& user, const http::Request& request, SimTime now,
+                  core::Decision* out) override {
+    inner_->on_request(user, request, now, out);
+  }
+  void on_response(core::UserId& user, const http::Request& request,
+                   const http::Response& response, SimTime now, core::Decision* out) override {
+    inner_->on_response(user, request, response, now, out);
+  }
+  void on_prefetch_response(core::UserId& user, const core::PrefetchJob& job,
+                            const http::Response& response, SimTime now, double response_time_ms,
+                            core::Decision* out) override {
+    ++learning_;
+    std::this_thread::sleep_for(learn_cost_);
+    inner_->on_prefetch_response(user, job, response, now, response_time_ms, out);
+  }
+  void on_prefetch_dropped(core::UserId& user, const core::PrefetchJob& job,
+                           SimTime now) override {
+    inner_->on_prefetch_dropped(user, job, now);
+  }
+  bool thread_safe() const override { return true; }
+  const core::ProxyStats& stats() const override { return inner_->stats(); }
 
-  UpstreamPool pool(UpstreamPool::Options{});
+  std::atomic<int> learning_{0};  // prefetch responses whose learning began
+
+ private:
+  core::ProxyLike* inner_;
+  std::chrono::milliseconds learn_cost_;
+};
+
+// --- origin exchanges on the loops, on both backends ---------------------------
+
+class UpstreamExchange : public LiveProxyTest, public ::testing::WithParamInterface<const char*> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == std::string_view("uring") && !uring_supported()) {
+      GTEST_SKIP() << "kernel lacks io_uring support (or APPX_NO_URING=1)";
+    }
+  }
+
+  core::EngineOptions options() const {
+    core::EngineOptions options;
+    options.io_backend = GetParam();
+    return options;
+  }
+
+  // A proxy whose every app host routes to 127.0.0.1:`port`.
+  std::unique_ptr<LiveProxyServer> proxy_to(std::uint16_t port, core::EngineOptions options) {
+    LiveProxyServer::UpstreamMap upstreams;
+    for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = port;
+    return std::make_unique<LiveProxyServer>(adapter_.get(), std::move(upstreams), 0,
+                                             std::move(options));
+  }
+
+  std::int64_t counter(const LiveProxyServer& proxy, std::string_view name) const {
+    return proxy.metrics().counter_value(name);
+  }
+
+  http::Request unique_feed(const std::string& tag) const {
+    http::Request req = feed_request();
+    req.uri.add_query_param("variant", tag);
+    return req;
+  }
+};
+
+TEST_P(UpstreamExchange, RefusedPortAnswers502Promptly) {
+  std::uint16_t closed_port = 0;
   {
-    UpstreamPool::Lease lease = pool.acquire("127.0.0.1", server.port());
-    ASSERT_TRUE(lease.valid());
-  }  // destroyed without release(): must unregister the fd, not leak it
-  EXPECT_EQ(pool.idle_count(), 0u);
-
-  // The abandoned lease's fd number is free again and is typically recycled
-  // by the very next connect. shutdown() must not ::shutdown() the recycled
-  // descriptor out from under its new owner.
-  TestClient bystander(server.port(), "u1");
-  pool.shutdown();
-  http::Request req;
-  req.method = "POST";
-  req.uri = http::Uri::parse("https://" + spec.endpoint("feed").host + "/api/get-feed");
-  req.uri.add_query_param("offset", "0");
-  req.uri.add_query_param("count", "30");
-  req.set_form_fields({{"_client", "android"}, {"_ver", "4.13.0"}});
-  EXPECT_TRUE(bystander.send(req).ok());
-  server.stop();
+    TcpListener listener(0);
+    closed_port = listener.port();
+  }  // nothing listens there any more
+  core::EngineOptions opts = options();
+  opts.request_deadline = seconds(10);  // a refusal must not wait for it
+  auto proxy = proxy_to(closed_port, opts);
+  TestClient client(proxy->port(), "refused");
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.send(feed_request()).status, 502);
+  EXPECT_LT(ms_since(started), 2000.0);
 }
+
+TEST_P(UpstreamExchange, BlackHoleAnswers504AtTheDeadline) {
+  BlackHole hole;
+  core::EngineOptions opts = options();
+  opts.request_deadline = milliseconds(300);
+  auto proxy = proxy_to(hole.port(), opts);
+  TestClient client(proxy->port(), "hole");
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.send(feed_request()).status, 504);
+  const double elapsed = ms_since(started);
+  EXPECT_GE(elapsed, 290.0);
+  EXPECT_LT(elapsed, 5000.0);
+}
+
+TEST_P(UpstreamExchange, OriginClosingAParkedConnectionEvictsIt) {
+  OneShotOrigin origin(/*close_after_reply=*/true);
+  auto proxy = proxy_to(origin.port(), options());
+  TestClient client(proxy->port(), "evict-user");
+  EXPECT_EQ(client.send(unique_feed("a")).status, 200);
+  // The parked connection's posted recv sees the origin's FIN.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (counter(*proxy, "appx_upstream_stale_total") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(counter(*proxy, "appx_upstream_stale_total"), 1);
+  EXPECT_EQ(proxy->metrics().gauge_value("appx_upstream_idle"), 0);
+  // So the next miss connects fresh, with nothing to retry.
+  EXPECT_EQ(client.send(unique_feed("b")).status, 200);
+  EXPECT_EQ(counter(*proxy, "appx_upstream_connect_total"), 2);
+  EXPECT_EQ(counter(*proxy, "appx_upstream_reuse_total"), 0);
+  EXPECT_EQ(counter(*proxy, "appx_upstream_retry_total"), 0);
+}
+
+TEST_P(UpstreamExchange, StalePooledUpstreamIsRetriedTransparently) {
+  OneShotOrigin origin;
+  auto proxy = proxy_to(origin.port(), options());
+  TestClient client(proxy->port(), "stale-user");
+  // Miss #1: fresh connect; the connection is parked afterwards.
+  EXPECT_EQ(client.send(unique_feed("a")).status, 200);
+  // Miss #2 reuses the parked connection, which the one-shot origin kills at
+  // use. The exchange must fail over to a fresh connect without the client
+  // seeing anything but a clean 200.
+  EXPECT_EQ(client.send(unique_feed("b")).status, 200);
+  EXPECT_GE(counter(*proxy, "appx_upstream_reuse_total"), 1);
+  EXPECT_EQ(counter(*proxy, "appx_upstream_retry_total"), 1);
+  // One per actually-used origin connection.
+  EXPECT_EQ(counter(*proxy, "appx_upstream_connect_total"), 2);
+}
+
+TEST_P(UpstreamExchange, PoolReusesConnectionAcrossSequentialMisses) {
+  // Sequential unique misses ride ONE warm upstream connection instead of
+  // reconnecting per fetch.
+  auto proxy = proxy_to(origin_server_.port(), options());
+  TestClient client(proxy->port(), "pool-user");
+  constexpr int kMisses = 12;
+  for (int i = 0; i < kMisses; ++i) {
+    const auto response = client.send(unique_feed(std::to_string(i)));
+    EXPECT_EQ(response.headers.get("X-Appx-Cache").value_or(""), "miss");
+  }
+  proxy->drain_prefetches();
+  const std::int64_t reuses = counter(*proxy, "appx_upstream_reuse_total");
+  const std::int64_t connects = counter(*proxy, "appx_upstream_connect_total");
+  EXPECT_GE(reuses, kMisses - 1);
+  // Warm-path reuse fraction >= 90%: at most one fresh connect per
+  // concurrently-needed upstream connection (sequential client => 1).
+  EXPECT_GE(static_cast<double>(reuses) / static_cast<double>(reuses + connects), 0.9);
+}
+
+TEST_P(UpstreamExchange, StopWithHungPrefetchesIsPromptAndBalanced) {
+  // Sibling prefetches hang on the origin far longer than the test: stop()
+  // must abandon them, resolving each as dropped.
+  SelectiveHangOrigin hang(&origin_, feed_item_id(0));
+  core::EngineOptions opts = options();
+  opts.request_deadline = seconds(60);
+  auto proxy = proxy_to(hang.port(), opts);
+  TestClient client(proxy->port(), "u1");
+  ASSERT_TRUE(client.send(feed_request()).ok());
+  ASSERT_TRUE(client.send(detail_request(0)).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (hang.hung_requests() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(hang.hung_requests(), 0u);
+
+  const auto started = std::chrono::steady_clock::now();
+  proxy->stop();
+  EXPECT_LT(ms_since(started), 5000.0);
+  proxy->drain_prefetches();  // nothing left in flight after stop()
+  const auto& stats = adapter_->stats();
+  EXPECT_GT(stats.prefetches_dropped, 0u);
+  EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
+            stats.prefetches_issued);
+}
+
+std::size_t process_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_P(UpstreamExchange, LoopThreadsAreTheProxysOnlyThreads) {
+  core::EngineOptions opts = options();
+  opts.loop_threads = 2;
+  const std::size_t before = process_thread_count();
+  auto proxy = proxy_to(origin_server_.port(), opts);
+  EXPECT_EQ(process_thread_count(), before + 2);
+  // Serving misses and prefetches starts no thread either.
+  TestClient client(proxy->port(), "u1");
+  ASSERT_TRUE(client.send(feed_request()).ok());
+  ASSERT_TRUE(client.send(detail_request(0)).ok());
+  proxy->drain_prefetches();
+  EXPECT_EQ(process_thread_count(), before + 2);
+}
+
+TEST_P(UpstreamExchange, PrefetchesShareTheParkCapAndClientMissesSkipTheirQueue) {
+  // The origin holds each /product/get for 300 ms. One loop, one user: the
+  // ~29 sibling prefetches of a detail view hold at most
+  // upstream_pool_per_host origin connections and queue for them, reusing
+  // them instead of opening a socket per job. A client miss that arrives
+  // meanwhile starts at once instead of joining that queue (which needs
+  // 300 ms per round to drain).
+  SlowDetailOrigin slow(&origin_, std::chrono::milliseconds(300));
+  core::EngineOptions opts = options();
+  opts.loop_threads = 1;
+  auto proxy = proxy_to(slow.port(), opts);
+  const std::size_t cap = proxy->options().upstream_pool_per_host;
+  TestClient client(proxy->port(), "u1");
+  ASSERT_TRUE(client.send(feed_request()).ok());
+  ASSERT_TRUE(client.send(detail_request(0)).ok());  // fans out ~29 sibling jobs
+  ASSERT_GT(adapter_->stats().prefetches_issued, 2 * cap);
+
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.send(unique_feed("during-fan-out")).headers.get("X-Appx-Cache").value_or(""),
+            "miss");
+  EXPECT_LT(ms_since(started), 250.0);
+
+  proxy->drain_prefetches();
+  EXPECT_EQ(slow.peak_detail_requests(), cap);
+  // The prefetches' connections plus at most one for the sequential client.
+  EXPECT_LE(counter(*proxy, "appx_upstream_connect_total"), static_cast<std::int64_t>(cap + 1));
+  const auto& stats = adapter_->stats();
+  EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
+            stats.prefetches_issued);
+}
+
+TEST_P(UpstreamExchange, PrefetchLearningYieldsToClientRequests) {
+  // One loop learns ~29 prefetch responses at 40 ms each (over a second in
+  // all). A client request arriving meanwhile is answered between two
+  // learning events, not after the whole backlog. The request is an admin
+  // scrape, answered within the loop iteration that reads it, so its
+  // latency is the time a client event waits behind learning.
+  SlowLearningEngine engine(adapter_.get(), std::chrono::milliseconds(40));
+  core::EngineOptions opts = options();
+  opts.loop_threads = 1;
+  opts.upstream_pool_per_host = 32;  // every response is back and queued at once
+  LiveProxyServer::UpstreamMap upstreams;
+  for (const apps::EndpointSpec& ep : spec_.endpoints) upstreams[ep.host] = origin_server_.port();
+  LiveProxyServer proxy(&engine, std::move(upstreams), 0, opts);
+  TestClient u1(proxy.port(), "u1");
+  TestClient u2(proxy.port(), "u2");
+  ASSERT_EQ(u2.send(admin_request("/appx/metrics")).status, 200);  // connected and accepted
+  ASSERT_TRUE(u1.send(feed_request()).ok());
+  ASSERT_TRUE(u1.send(detail_request(0)).ok());  // fans out ~29 sibling jobs
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (engine.learning_.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(engine.learning_.load(), 2);
+
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(u2.send(admin_request("/appx/metrics")).status, 200);
+  EXPECT_LT(ms_since(started), 300.0);
+  EXPECT_LT(engine.learning_.load(), 20);  // the backlog was still there
+
+  proxy.drain_prefetches();
+  const auto& stats = adapter_->stats();
+  EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
+            stats.prefetches_issued);
+  EXPECT_EQ(u1.send(detail_request(1)).headers.get("X-Appx-Cache").value_or(""), "hit");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, UpstreamExchange, ::testing::Values("epoll", "uring"));
 
 TEST(LiveOrigin, MetricsEndpointCountsServes) {
   apps::AppSpec spec = apps::make_wish();

@@ -346,12 +346,13 @@ TEST(EngineOptions, ValidateNamesTheBadField) {
   expect_rejects(negative_weight, "scheduler_hit_weight");
 
   EngineOptions negative_timeout;
-  negative_timeout.io_timeout = -seconds(1);
-  expect_rejects(negative_timeout, "timeouts");
+  negative_timeout.request_deadline = -seconds(1);
+  expect_rejects(negative_timeout, "request_deadline");
 
-  EngineOptions zero_workers;
-  zero_workers.prefetch_workers = 0;
-  expect_rejects(zero_workers, "prefetch_workers");
+  // Nothing else bounds a hung origin exchange.
+  EngineOptions zero_deadline;
+  zero_deadline.request_deadline = Duration{0};
+  expect_rejects(zero_deadline, "request_deadline");
 
   EngineOptions negative_backlog;
   negative_backlog.listen_backlog = -1;
@@ -375,7 +376,7 @@ TEST(EngineOptions, EnginesRejectInvalidOptionsAtConstruction) {
   const SignatureSet set = make_wish_set();
   ProxyConfig config;
   EngineOptions bad;
-  bad.prefetch_workers = 0;
+  bad.max_outstanding_prefetches = 0;
   EXPECT_THROW(ProxyEngine(&set, &config, bad), InvalidArgumentError);
   EXPECT_THROW(ShardedProxyEngine(&set, &config, bad), InvalidArgumentError);
 }
