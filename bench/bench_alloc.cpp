@@ -94,7 +94,6 @@ PathReport measure_hit() {
   const auto pass = [&] {
     parser.append(wire.data(), wire.size());
     const auto message = parser.next_message();
-    parser.pin();
     arena.reset();
     const http::RequestView view = http::parse_request_view(*message, arena);
     http::materialize(view, scratch);
@@ -104,7 +103,6 @@ PathReport measure_hit() {
     response->serialize_head_into(head, "X-Appx-Cache: hit");
     const http::BodySlab served = response->body;  // the out-queue's hold
     zero_copy = zero_copy && served.data() == cached_data;
-    parser.unpin();
   };
 
   for (int i = 0; i < kWarmup; ++i) pass();

@@ -17,14 +17,21 @@
 // ends of the window — the real serving path's allocation figure, where
 // bench_alloc measures a rebuilt component pipeline.
 //
+// A second window pipelines: each client writes kPipelineDepth warm-hit
+// requests in one segment, then reads their responses, so one recv and one
+// sendmsg batch serve the whole group.
+//
 // One section per backend: epoll always, uring when the kernel supports it.
 // Output is a JSON object on stdout (recorded in BENCH_micro.json under
 // "syscall_plane"). With `--budget <file.json>` it doubles as the CI gate:
 // exits nonzero when a backend exceeds its absolute syscalls/request or
-// epoll_ctl/request budget, or uring fails the required relative drop vs
-// epoll.
+// epoll_ctl/request budget, uring fails the required relative drop vs
+// epoll, or a backend's pipelined syscalls/request exceed the given share
+// of its own unpipelined figure (a ratio within one run, so it holds on a
+// busy host and a quiet one alike).
 //
 // Usage: bench_syscalls [--conns N] [--requests N] [--budget bench/syscall_budget.json]
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -53,6 +60,7 @@ namespace {
 using namespace appx;
 
 constexpr const char* kUser = "bench";
+constexpr std::size_t kPipelineDepth = 4;
 
 http::Request feed_request(const apps::AppSpec& spec) {
   http::Request req;
@@ -106,12 +114,27 @@ class Client {
   http::Response send(http::Request req) {
     req.headers.set("X-Appx-User", kUser);
     net::write_request(stream_, req);
+    return read();
+  }
+
+  // Write `wire` (several serialized requests) in one segment and read `n`
+  // responses; returns how many were cache hits.
+  std::size_t send_pipelined(const std::string& wire, std::size_t n) {
+    stream_.write_all(wire);
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (read().headers.get("X-Appx-Cache").value_or("") == "hit") ++hits;
+    }
+    return hits;
+  }
+
+ private:
+  http::Response read() {
     auto response = reader_.read_response();
     if (!response) throw Error("bench_syscalls: server closed connection");
     return std::move(*response);
   }
 
- private:
   net::TcpStream stream_;
   net::HttpReader reader_;
 };
@@ -126,6 +149,12 @@ struct BackendResult {
   double ctl_per_request = 0;
   std::uint64_t loop_allocs = 0;  // heap allocations on the proxy's loop thread
   double loop_allocs_per_request = 0;
+  // The pipelined window (kPipelineDepth requests per segment).
+  std::size_t pipelined_requests = 0;
+  std::size_t pipelined_hits = 0;
+  net::sys::Counters pipelined_delta;
+  double pipelined_per_request = 0;
+  double pipelined_ratio = 0;  // pipelined / unpipelined syscalls per request
 };
 
 // The loop thread's allocation count so far, read by a task posted to it.
@@ -208,6 +237,33 @@ BackendResult measure(const std::string& backend, std::size_t conns,
   result.ctl_per_request = per_request(result.delta.ctl);
   result.loop_allocs = allocs_after - allocs_before;
   result.loop_allocs_per_request = per_request(result.loop_allocs);
+
+  // Pipelined window: the same number of requests, kPipelineDepth per segment.
+  std::string wire;
+  {
+    http::Request tagged = hit_req;
+    tagged.headers.set("X-Appx-User", kUser);
+    for (std::size_t i = 0; i < kPipelineDepth; ++i) wire += tagged.serialize();
+  }
+  const std::size_t rounds = std::max<std::size_t>(1, requests_per_conn / kPipelineDepth);
+  std::vector<std::size_t> pipelined_hits(conns, 0);
+  threads.clear();
+  const net::sys::Counters pipelined_before = net::sys::snapshot();
+  for (std::size_t c = 0; c < conns; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::size_t r = 0; r < rounds; ++r) {
+        pipelined_hits[c] += clients[c]->send_pipelined(wire, kPipelineDepth);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  result.pipelined_delta = net::sys::snapshot() - pipelined_before;
+  result.pipelined_requests = conns * rounds * kPipelineDepth;
+  for (const std::size_t h : pipelined_hits) result.pipelined_hits += h;
+  result.pipelined_per_request = static_cast<double>(result.pipelined_delta.total()) /
+                                 static_cast<double>(result.pipelined_requests);
+  result.pipelined_ratio =
+      result.per_request > 0 ? result.pipelined_per_request / result.per_request : 0.0;
   return result;
 }
 
@@ -223,6 +279,14 @@ void print_result(const BackendResult& r, bool last) {
   }
   std::printf("      \"requests\": %zu, \"hits\": %zu, \"origin_requests_in_window\": %llu,\n",
               r.requests, r.hits, static_cast<unsigned long long>(r.origin_requests));
+  std::printf("      \"pipelined\": {\"depth\": %zu, \"syscalls_per_request\": %.2f, "
+              "\"ratio_vs_unpipelined\": %.3f, \"requests\": %zu, \"hits\": %zu, "
+              "\"read\": %llu, \"write\": %llu, \"wait\": %llu, \"enter\": %llu},\n",
+              kPipelineDepth, r.pipelined_per_request, r.pipelined_ratio, r.pipelined_requests,
+              r.pipelined_hits, static_cast<unsigned long long>(r.pipelined_delta.read),
+              static_cast<unsigned long long>(r.pipelined_delta.write),
+              static_cast<unsigned long long>(r.pipelined_delta.wait),
+              static_cast<unsigned long long>(r.pipelined_delta.enter));
   std::printf("      \"breakdown_total\": {\"wait\": %llu, \"ctl\": %llu, \"read\": %llu, "
               "\"write\": %llu, \"accept\": %llu, \"wake\": %llu, \"enter\": %llu, "
               "\"register\": %llu}\n",
@@ -292,12 +356,21 @@ int main(int argc, char** argv) {
         json::parse(std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()));
     const double epoll_max = budget.at("epoll_syscalls_per_request").as_double();
     const double ctl_max = budget.at("epoll_ctl_per_request").as_double();
+    const double pipelined_max = budget.at("pipelined_max_ratio_vs_unpipelined").as_double();
     const BackendResult* const results[] = {&epoll, &uring};
     for (const BackendResult* r : results) {
+      if (r->backend.empty()) continue;  // uring unsupported: not measured
       if (r->ctl_per_request > ctl_max) {
         std::fprintf(stderr, "bench_syscalls: %s warm-hit path costs %.3f epoll_ctl/request, "
                              "budget %.3f\n",
                      r->backend.c_str(), r->ctl_per_request, ctl_max);
+        return 1;
+      }
+      if (r->pipelined_ratio > pipelined_max) {
+        std::fprintf(stderr, "bench_syscalls: %s pipelined warm hits cost %.2f syscalls/request, "
+                             "%.2fx the unpipelined %.2f; budget %.2fx\n",
+                     r->backend.c_str(), r->pipelined_per_request, r->pipelined_ratio,
+                     r->per_request, pipelined_max);
         return 1;
       }
     }
@@ -328,9 +401,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(stderr, "bench_syscalls: within budget (epoll %.2f <= %.2f, uring %.2f <= "
-                         "%.2f, drop %.0f%% >= %.0f%%)\n",
+                         "%.2f, drop %.0f%% >= %.0f%%, pipelined/unpipelined epoll %.2f uring "
+                         "%.2f <= %.2f)\n",
                  epoll.per_request, epoll_max, uring.per_request, uring_max, drop * 100,
-                 min_drop * 100);
+                 min_drop * 100, epoll.pipelined_ratio, uring.pipelined_ratio, pipelined_max);
   }
   return 0;
 }

@@ -40,7 +40,7 @@ class BodySlab {
       : BodySlab(std::string(bytes)) {}
 
   // Copy bytes into a fresh slab (the miss path copies an upstream body out
-  // of the parser's pinned buffer exactly once, here).
+  // of the parser's buffer exactly once, here).
   static BodySlab copy(std::string_view bytes) { return BodySlab(std::string(bytes)); }
 
   // View over storage with static lifetime (canned error responses). No

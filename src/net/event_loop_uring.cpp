@@ -24,10 +24,14 @@
 //     buffer registration anywhere.
 //   * Teardown: cancel_fd marks every op on the fd dead and submits
 //     IORING_OP_ASYNC_CANCEL *by token* (cancel-by-fd would need the fd
-//     still open; the caller is about to close it). Dead ops' CQEs are
-//     swallowed and their callbacks dropped; each op's owner is released
-//     only with its terminal CQE, so the kernel never touches freed
-//     buffers.
+//     still open; the caller is about to close it). An op whose SQE the
+//     kernel has not read yet becomes a NOP in place instead: the kernel
+//     resolves an SQE's descriptor (or fixed slot) only when it reads it,
+//     and by then the caller's close may have handed the number — on any
+//     thread — or the slot to a new socket, whose bytes the dead op would
+//     consume. Dead ops' CQEs are swallowed and their callbacks dropped;
+//     each op's owner is released only with its terminal CQE, so the
+//     kernel never touches freed buffers.
 #include <linux/io_uring.h>
 #include <poll.h>
 #include <sys/mman.h>
@@ -134,8 +138,8 @@ class UringEventLoop final : public EventLoop {
 
   void submit_recv(int fd, void* buf, std::size_t len, IoCallback cb,
                    std::shared_ptr<void> owner) override {
-    const std::uint64_t token = track_io(OpKind::kRecv, fd, std::move(cb), std::move(owner));
     io_uring_sqe* sqe = get_sqe();
+    const std::uint64_t token = track_io(OpKind::kRecv, fd, std::move(cb), std::move(owner));
     sqe->opcode = IORING_OP_RECV;
     set_target_fd(sqe, fd);
     sqe->addr = reinterpret_cast<std::uint64_t>(buf);
@@ -146,8 +150,8 @@ class UringEventLoop final : public EventLoop {
 
   void submit_sendmsg(int fd, const msghdr* msg, IoCallback cb,
                       std::shared_ptr<void> owner) override {
-    const std::uint64_t token = track_io(OpKind::kSend, fd, std::move(cb), std::move(owner));
     io_uring_sqe* sqe = get_sqe();
+    const std::uint64_t token = track_io(OpKind::kSend, fd, std::move(cb), std::move(owner));
     sqe->opcode = IORING_OP_SENDMSG;
     set_target_fd(sqe, fd);
     sqe->addr = reinterpret_cast<std::uint64_t>(msg);
@@ -184,6 +188,14 @@ class UringEventLoop final : public EventLoop {
         continue;
       }
       it->second.dead = true;
+      if (it->second.kind != OpKind::kAccept && still_queued(it->second.sq_index)) {
+        // Its NOP completion retires it; nothing is in the kernel to cancel.
+        io_uring_sqe* sqe = &sqes_[it->second.sq_index & sq_mask_];
+        std::memset(sqe, 0, sizeof(*sqe));
+        sqe->opcode = IORING_OP_NOP;
+        sqe->user_data = token;
+        continue;
+      }
       prep_cancel(token);
     }
     unregister_file(fd);
@@ -227,6 +239,7 @@ class UringEventLoop final : public EventLoop {
     // out a backoff timer. No CQE will arrive, so teardown paths erase the
     // entry directly instead of submitting a cancel for it.
     bool parked = false;
+    unsigned sq_index = 0;                      // kRecv / kSend: its SQE's ring position
     IoCallback io_cb;                           // kRecv / kSend
     std::shared_ptr<void> owner;                // kRecv / kSend: guards the op's buffers
     std::shared_ptr<AcceptCallback> accept_cb;  // kAccept
@@ -241,6 +254,7 @@ class UringEventLoop final : public EventLoop {
     PendingOp op;
     op.kind = kind;
     op.fd = fd;
+    op.sq_index = local_sq_tail_;  // get_sqe() just handed out this slot
     op.io_cb = std::move(cb);
     op.owner = std::move(owner);
     ops_.emplace(token, std::move(op));
@@ -339,6 +353,12 @@ class UringEventLoop final : public EventLoop {
   void publish_sqe() { store_release(sq_tail_, ++local_sq_tail_); }
 
   unsigned sq_pending() const { return local_sq_tail_ - load_acquire(sq_head_); }
+
+  // The SQE at ring position `index` is published but not yet read by the
+  // kernel (it reads only inside our io_uring_enter calls).
+  bool still_queued(unsigned index) const {
+    return index - load_acquire(sq_head_) < sq_pending();
+  }
 
   // Route an SQE at `fd`, through its fixed-file slot when one is (or can
   // be) registered. Listener fds stay raw: accept ops outlive connections
@@ -492,14 +512,19 @@ class UringEventLoop final : public EventLoop {
   }
 
   void process_cqes() {
+    // Only the completions posted before the pass starts. Callbacks make
+    // syscalls (connect, close, file-table updates) during which the kernel
+    // posts further completions; a pass that chased them ran for seconds
+    // under connection churn, with the SQEs it queued (client responses
+    // among them) unsubmitted and timers unfired until it ended.
+    const unsigned end = load_acquire(cq_tail_);
     // Reload the published head every iteration, not once up front: a
     // dispatched callback can re-enter process_cqes (via get_sqe's
     // ring-full reap), and a cached local head would then re-deliver CQEs
     // the nested call already consumed.
     while (true) {
       const unsigned head = load_acquire(cq_head_);
-      const unsigned tail = load_acquire(cq_tail_);
-      if (head == tail) break;
+      if (static_cast<std::int32_t>(end - head) <= 0) break;
       // Copy out and publish consumption before dispatch: the callback may
       // run long, and freeing the slot keeps the kernel out of overflow.
       const io_uring_cqe cqe = cqes_[head & cq_mask_];

@@ -31,12 +31,6 @@ std::size_t content_length_of(std::string_view head) {
 // --- HttpParser ----------------------------------------------------------------------
 
 void HttpParser::append(const char* data, std::size_t n) {
-  if (pinned_) {
-    // A message view into buffer_ is in flight: stage the bytes aside so the
-    // buffer neither compacts nor reallocates under the view.
-    overflow_.append(data, n);
-    return;
-  }
   // Compact before growing: erase the consumed prefix once it is large (or
   // the buffer is fully drained — a free clear() that keeps the capacity, so
   // a keep-alive connection reuses one allocation across all its messages).
@@ -46,14 +40,6 @@ void HttpParser::append(const char* data, std::size_t n) {
     consumed_ = 0;
   }
   buffer_.append(data, n);
-}
-
-void HttpParser::unpin() {
-  pinned_ = false;
-  if (!overflow_.empty()) {
-    append(overflow_.data(), overflow_.size());  // compacts first if due
-    overflow_.clear();
-  }
 }
 
 std::optional<std::string_view> HttpParser::next_message() {
@@ -90,9 +76,7 @@ std::optional<std::string_view> HttpParser::next_message() {
 
 void HttpParser::reset() {
   buffer_.clear();
-  overflow_.clear();
   consumed_ = 0;
-  pinned_ = false;
 }
 
 // --- HttpReader ----------------------------------------------------------------------

@@ -57,9 +57,7 @@ class HttpParser {
  public:
   explicit HttpParser(ReaderLimits limits = {}) : limits_(limits) {}
 
-  // Feed bytes read off the wire. Invalidates the last next_message() view —
-  // unless the parser is pinned, in which case the bytes are staged in a side
-  // buffer and the view stays valid.
+  // Feed bytes read off the wire. Invalidates the last next_message() view.
   void append(const char* data, std::size_t n);
 
   // The next complete message's wire text, or nullopt when more bytes are
@@ -68,19 +66,9 @@ class HttpParser {
   // malformed framing.
   std::optional<std::string_view> next_message();
 
-  // Pin the buffer while a returned message view is in flight (DESIGN.md
-  // §5h): between pin() and unpin(), append() neither compacts nor grows the
-  // main buffer (new bytes go to an overflow buffer), so views into it —
-  // including a RequestView's fields — stay valid even if the event loop
-  // reads more bytes (e.g. an EPOLLHUP-driven drain while the request is
-  // being processed). unpin() merges the overflow back in.
-  void pin() { pinned_ = true; }
-  void unpin();
-  bool pinned() const { return pinned_; }
-
   // Bytes buffered but not yet returned as a message (a partial message, or
   // complete pipelined messages not yet polled).
-  std::size_t pending_bytes() const { return buffer_.size() - consumed_ + overflow_.size(); }
+  std::size_t pending_bytes() const { return buffer_.size() - consumed_; }
 
   // Forget all buffered state (connection reuse for a new peer).
   void reset();
@@ -93,9 +81,7 @@ class HttpParser {
 
   ReaderLimits limits_;
   std::string buffer_;
-  std::string overflow_;  // bytes received while pinned, merged on unpin()
   std::size_t consumed_ = 0;  // bytes of buffer_ already returned as messages
-  bool pinned_ = false;
 };
 
 // Blocking pull reader over a TcpStream: the client-side / upstream-side

@@ -7,6 +7,7 @@
 #include <sys/uio.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <utility>
@@ -26,18 +27,16 @@ namespace {
 // op), so sized for requests rather than throughput — 4 KiB keeps 10k
 // connections at ~40 MB instead of 160 MB.
 constexpr std::size_t kReadChunk = 4 * 1024;
-// Max chunks per sendmsg batch; a response is at most head + body, so 8
-// covers several pipelined responses in one syscall.
-constexpr std::size_t kMaxIov = 8;
-// While a request is in flight, pipelined bytes keep flowing into the
-// parser's staging buffer (under pin()) up to this budget; only a client
-// flooding past it stops being read (and the kernel socket buffer
-// backpressures it). Keeping a recv posted across requests is what keeps
-// the epoll backend's EPOLLIN registration stable (no per-request
-// epoll_ctl).
-constexpr std::size_t kMaxStagedBytes = 64 * 1024;
-// After rejecting a message (431/413) we half-close and keep draining the
-// peer's in-flight bytes this long so the FIN carries the status cleanly.
+// Requests one connection serves at once: pipelined requests are dispatched
+// while earlier ones are upstream and answered in request order (RFC 9112
+// §9.3.2). A full ring stops reading until its oldest request is answered.
+constexpr std::size_t kMaxInFlight = 16;
+// Max chunks per sendmsg batch: head + body of every response in the ring,
+// so one sendmsg flushes a whole ready prefix.
+constexpr std::size_t kMaxIov = 2 * kMaxInFlight;
+// After refusing a message (431/413, malformed) we half-close and keep
+// draining the peer's in-flight bytes this long so the FIN carries the
+// answers cleanly.
 constexpr auto kDiscardDrain = std::chrono::milliseconds(500);
 // Prefetch learning per loop iteration before the loop turns back to its
 // client events (one learning event may overrun it).
@@ -86,23 +85,41 @@ http::Response metrics_response(const obs::MetricsRegistry& registry, std::strin
 }  // namespace
 
 // --- Conn ----------------------------------------------------------------------------
-//
+
+// One request a Conn has dispatched and not yet answered: its owning form,
+// then its rendered response until the ring flushes it in request order.
+// Pooled per connection (one per ring position, made on first use), so the
+// request's string/vector capacity carries over to later requests.
+struct ConnSlot {
+  http::Request request;  // materialized during dispatch (Conn::materialize_request)
+  std::string head;       // response head, rendered by Conn::complete
+  http::BodySlab body;    // response body, held by reference
+  bool ready = false;     // answered; waits for the slots before it
+};
+
 // One client connection on one event loop. All state, complete() included,
-// is loop-thread-only; `processing_` serializes requests per connection.
+// is loop-thread-only.
+//
+// Pipelined dispatch: complete requests are dispatched as they are parsed,
+// each into the next slot of a ring of kMaxInFlight, while earlier ones are
+// still upstream. Slots are answered in any order and written strictly in
+// request order: the ready prefix of the ring moves to the write queue as
+// one sendmsg batch. Only a full ring stops reading.
 //
 // Zero-copy data plane (DESIGN.md §5h): a complete message is parsed into a
-// RequestView over the parser's pinned buffer (header array in the
-// connection arena); the buffer stays pinned until complete(). Responses
-// leave as (head, body) chunk pairs — the head rendered into a pooled
-// per-connection buffer, the body a refcounted slab — so serving a cached
-// response copies no payload bytes between the cache and the socket iovec.
+// RequestView over the parser's buffer (header array in the connection
+// arena), valid only during the dispatch call; a request that outlives it is
+// materialized into its slot. Responses leave as (head, body) chunk pairs —
+// the head rendered into a pooled per-connection buffer, the body a
+// refcounted slab — so serving a cached response copies no payload bytes
+// between the cache and the socket iovec.
 class Conn : public std::enable_shared_from_this<Conn> {
  public:
   // Called on the loop thread for each complete parsed request, which rides
-  // on the connection as request_view() (and materialize_request() for an
-  // owning form). The sink must eventually call complete() exactly once per
-  // dispatched request; the view and scratch request stay valid until then.
-  using Dispatch = std::function<void(const std::shared_ptr<Conn>&)>;
+  // on the connection as request_view() during the call. The sink must
+  // eventually call complete() exactly once with the slot it was given, and
+  // must not touch the slot afterwards.
+  using Dispatch = std::function<void(const std::shared_ptr<Conn>&, ConnSlot&)>;
   using OnClosed = std::function<void(int fd)>;
 
   Conn(EventLoop* loop, TcpStream stream, ReaderLimits limits, Duration idle_timeout,
@@ -128,40 +145,35 @@ class Conn : public std::enable_shared_from_this<Conn> {
     arm_idle_timer(last_activity_ + std::chrono::microseconds(idle_timeout_));
   }
 
-  // The in-flight request as zero-copy views over the pinned parser buffer.
-  // Valid from dispatch until the matching complete().
+  // The request being dispatched as zero-copy views over the parser buffer.
+  // Valid only during the dispatch call: later reads may move the buffer.
   const http::RequestView& request_view() const { return view_; }
 
-  // The in-flight request in owning form, materialized on first use into a
-  // per-connection scratch whose string/vector capacity is reused across
-  // requests — warm keep-alive traffic materializes without allocating.
-  http::Request& materialize_request() {
-    if (!materialized_) {
-      http::materialize(view_, req_scratch_);
-      materialized_ = true;
-    }
-    return req_scratch_;
+  // The request being dispatched in owning form, materialized into `slot`,
+  // whose string/vector capacity is reused across requests — warm keep-alive
+  // traffic materializes without allocating. Call during dispatch; the
+  // result lives until complete(slot).
+  http::Request& materialize_request(ConnSlot& slot) {
+    http::materialize(view_, slot.request);
+    return slot.request;
   }
 
-  // Hand back the response for the dispatched request and resume reading
-  // and dispatching. The body slab is enqueued by reference (no copy) — for
-  // a response shared with the engine's cache the write queue holds the
-  // refcount; the head is rendered into a pooled buffer.
-  // `extra_header_line` must point at storage with static lifetime (callers
-  // pass literals like "X-Appx-Cache: hit"); it is emitted after the stored
-  // headers.
-  void complete(const http::Response& response, std::string_view extra_header_line = {}) {
+  // Answer the request dispatched into `slot`. The body slab is held by
+  // reference (no copy) — for a response shared with the engine's cache the
+  // write queue holds the refcount; the head is rendered into a pooled
+  // buffer. `extra_header_line` must point at storage with static lifetime
+  // (callers pass literals like "X-Appx-Cache: hit"); it is emitted after
+  // the stored headers.
+  void complete(ConnSlot& slot, const http::Response& response,
+                std::string_view extra_header_line = {}) {
     if (closed_) return;  // connection died while the origin answered; drop
-    processing_ = false;
-    parser_.unpin();  // views are dead; merge bytes staged during the request
-    std::string head = take_head_buffer();
-    response.serialize_head_into(head, extra_header_line);
-    out_.push_back(OutChunk::head(std::move(head)));
-    if (!response.body.empty()) out_.push_back(OutChunk::body(response.body));
+    slot.head = take_head_buffer();
+    response.serialize_head_into(slot.head, extra_header_line);
+    slot.body = response.body;
+    slot.ready = true;
     touch();
-    submit_write();
-    if (closed_) return;
-    pump();
+    if (in_pump_) return;  // answered inline from dispatch: pump flushes the batch
+    pump();  // a slot is free: dispatch what a full ring held back, flush
     finish_io_round();
   }
 
@@ -206,8 +218,8 @@ class Conn : public std::enable_shared_from_this<Conn> {
   }
 
   // One sendmsg op over the head of the pending-write queue, batching chunks
-  // (response head + body, plus any pipelined successors). The iovec array
-  // and msghdr are members: the kernel may read them after this returns.
+  // (the heads and bodies of every flushed response). The iovec array and
+  // msghdr are members: the kernel may read them after this returns.
   void submit_write() {
     if (closed_ || write_inflight_ || out_.empty()) return;
     std::size_t niov = 0;
@@ -249,55 +261,82 @@ class Conn : public std::enable_shared_from_this<Conn> {
     finish_io_round();
   }
 
-  // Dispatch buffered complete messages, one in flight at a time. The
-  // in_pump_ guard breaks recursion when an inline dispatch (admin, origin)
-  // completes synchronously: its complete() sees the guard and the
-  // outer loop here picks up the next pipelined message instead.
+  // Dispatch buffered complete messages while the ring has room, then flush
+  // what is ready. The in_pump_ guard breaks recursion when a dispatch
+  // completes inline (hits, admin, origin serving): that complete() only
+  // marks its slot, and the flush here writes the batch.
   void pump() {
     if (in_pump_ || closed_) return;
     in_pump_ = true;
-    while (!closed_ && !processing_ && !discarding_) {
-      std::optional<std::string_view> wire;
-      try {
-        wire = parser_.next_message();
-      } catch (const MessageTooLargeError& e) {
-        reject(e.suggested_status());
-        break;
-      } catch (const ParseError& e) {
-        log_debug("net.conn") << "malformed message: " << e.what();
-        close();
-        break;
+    while (!closed_ && !discarding_) {
+      if (in_flight_ == kMaxInFlight) {
+        // A full ring of inline answers frees itself here; otherwise the
+        // oldest request is upstream and its complete() pumps again.
+        flush();
+        if (in_flight_ == kMaxInFlight) break;
       }
-      if (!wire) break;
       try {
+        const std::optional<std::string_view> wire = parser_.next_message();
+        if (!wire) break;
         arena_.reset();
         view_ = http::parse_request_view(*wire, arena_);
+      } catch (const MessageTooLargeError& e) {
+        refuse(e.suggested_status());
+        break;
       } catch (const ParseError& e) {
         log_debug("net.conn") << "malformed request: " << e.what();
-        close();
+        refuse(0);
         break;
       }
-      materialized_ = false;
       // A complete request is activity; a dribbling partial header (slow
       // loris) is not, so the idle timer keeps counting across it.
       touch();
-      processing_ = true;
-      // Pin the buffer under the outstanding views: bytes arriving while the
-      // request is in flight are staged aside instead of reallocating it.
-      parser_.pin();
-      dispatch_(shared_from_this());
+      ConnSlot& slot = slot_at(in_flight_++);
+      dispatch_(shared_from_this(), slot);
     }
     in_pump_ = false;
+    flush();
   }
 
-  // Queue an error status for an oversized message, then switch to discard
-  // mode: sink the peer's remaining bytes and close after a bounded drain so
-  // the FIN carries the status instead of an RST racing unread input.
-  void reject(int status) {
-    out_.push_back(OutChunk::canned(canned_reject_wire(status)));
-    discarding_ = true;
-    parser_.reset();
+  // The slot `i` places behind the oldest in-flight request.
+  ConnSlot& slot_at(std::size_t i) {
+    std::unique_ptr<ConnSlot>& slot = ring_[(ring_head_ + i) % kMaxInFlight];
+    if (!slot) slot = std::make_unique<ConnSlot>();
+    return *slot;
+  }
+
+  // Move the ready prefix of the ring to the write queue in request order —
+  // and, once the ring is empty, a refused message's status — then send.
+  void flush() {
+    while (in_flight_ > 0 && ring_[ring_head_]->ready) {
+      ConnSlot& slot = *ring_[ring_head_];
+      out_.push_back(OutChunk::head(std::move(slot.head)));
+      if (!slot.body.empty()) out_.push_back(OutChunk::body(std::move(slot.body)));
+      slot.body = {};
+      slot.ready = false;
+      ring_head_ = (ring_head_ + 1) % kMaxInFlight;
+      --in_flight_;
+    }
+    if (in_flight_ == 0) {
+      ring_head_ = 0;  // an unpipelined connection keeps reusing one slot
+      if (refused_status_ != 0) {
+        out_.push_back(OutChunk::canned(canned_reject_wire(refused_status_)));
+        refused_status_ = 0;
+      }
+    }
     submit_write();
+  }
+
+  // The parser refused a message: `status` is the canned 431/413 to send
+  // for an oversized one, 0 for malformed input (no answer). The requests
+  // before it are still answered, in order, and the status queues behind
+  // them. Then discard mode: sink the peer's remaining bytes, half-close
+  // once everything is written and close after a bounded drain, so the FIN
+  // carries the answers instead of an RST racing unread input.
+  void refuse(int status) {
+    discarding_ = true;
+    refused_status_ = status;
+    parser_.reset();
   }
 
   void record_first_byte(ssize_t n) {
@@ -331,28 +370,27 @@ class Conn : public std::enable_shared_from_this<Conn> {
   // drained EOF, and post the next recv if we still want to read.
   void finish_io_round() {
     if (closed_) return;
-    if (discarding_ && out_.empty() && !write_inflight_ && !write_shutdown_) {
+    const bool answered = in_flight_ == 0 && out_.empty() && !write_inflight_;
+    if (discarding_ && answered && !write_shutdown_) {
       stream_.shutdown_write();
       write_shutdown_ = true;
       drain_timer_ = loop_->add_timer(std::chrono::steady_clock::now() + kDiscardDrain,
                                       [self = shared_from_this()] { self->close(); });
     }
-    if (peer_eof_ && out_.empty() && !write_inflight_ && !processing_) {
+    if (peer_eof_ && answered) {
       close();
       return;
     }
     submit_read();
   }
 
-  // Reading continues while a request is being processed — pipelined bytes
-  // stage under the parser pin — until the staged budget is exhausted; past
-  // it a flooding client is no longer read and the kernel socket buffer
-  // backpressures it (the blocking runtime's behaviour, one budget later).
-  // Discard mode always reads, to drain the rejected message.
+  // Reading continues while requests are in flight, so pipelined requests
+  // reach dispatch; only a full ring stops it, and the kernel socket buffer
+  // then backpressures the client. Discard mode always reads, to drain the
+  // refused message.
   bool want_read() const {
     if (peer_eof_) return false;
-    if (discarding_) return true;
-    return !processing_ || parser_.pending_bytes() < kMaxStagedBytes;
+    return discarding_ || in_flight_ < kMaxInFlight;
   }
 
   void touch() { last_activity_ = std::chrono::steady_clock::now(); }
@@ -367,9 +405,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
     if (closed_) return;
     const auto now = std::chrono::steady_clock::now();
     const auto deadline = last_activity_ + std::chrono::microseconds(idle_timeout_);
-    if (processing_) {
-      // The request is upstream (bounded by the request deadline); give the
-      // connection another full period.
+    if (in_flight_ > 0) {
+      // Requests are upstream (each bounded by the request deadline); give
+      // the connection another full period.
       arm_idle_timer(now + std::chrono::microseconds(idle_timeout_));
       return;
     }
@@ -395,10 +433,10 @@ class Conn : public std::enable_shared_from_this<Conn> {
       c.text = std::move(t);
       return c;
     }
-    static OutChunk body(const http::BodySlab& s) {
+    static OutChunk body(http::BodySlab s) {
       OutChunk c;
       c.kind = Kind::Slab;
-      c.slab = s;
+      c.slab = std::move(s);
       return c;
     }
     static OutChunk canned(std::string_view wire) {
@@ -412,8 +450,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
     }
   };
 
-  // Head buffers cycle between the write queue and this pool (loop-thread
-  // only), so steady-state responses render their head into warm capacity.
+  // Head buffers cycle between the slots, the write queue and this pool
+  // (loop-thread only), so steady-state responses render their head into
+  // warm capacity.
   std::string take_head_buffer() {
     if (head_pool_.empty()) return {};
     std::string buf = std::move(head_pool_.back());
@@ -423,7 +462,7 @@ class Conn : public std::enable_shared_from_this<Conn> {
   }
 
   void recycle_head_buffer(std::string&& buf) {
-    if (head_pool_.size() < kHeadPoolMax) head_pool_.push_back(std::move(buf));
+    if (head_pool_.size() < kMaxInFlight) head_pool_.push_back(std::move(buf));
   }
 
   void close() {
@@ -450,8 +489,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
     if (on_closed_) on_closed_(conn_fd);
   }
 
-  static constexpr std::size_t kHeadPoolMax = 4;
-
   EventLoop* loop_;
   TcpStream stream_;
   HttpParser parser_;
@@ -460,13 +497,16 @@ class Conn : public std::enable_shared_from_this<Conn> {
   OnClosed on_closed_;
   obs::Histogram* first_byte_hist_;  // nulled after the first recorded write
 
-  // Request-scoped state (owned by the dispatched handler until complete()):
-  // arena backs the view's header array; the scratch request keeps its
-  // capacity across materializations.
+  // The request being dispatched: the arena backs the view's header array
+  // and is reset for each request.
   util::Arena arena_;
   http::RequestView view_;
-  http::Request req_scratch_;
-  bool materialized_ = false;
+
+  // In-flight requests, oldest at ring_head_.
+  std::array<std::unique_ptr<ConnSlot>, kMaxInFlight> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t in_flight_ = 0;  // dispatched, not yet flushed
+  int refused_status_ = 0;     // canned status to queue once the ring drains
 
   std::deque<OutChunk> out_;
   std::vector<std::string> head_pool_;
@@ -479,7 +519,6 @@ class Conn : public std::enable_shared_from_this<Conn> {
   struct iovec wiov_[kMaxIov];
   struct msghdr wmsg_{};
 
-  bool processing_ = false;
   bool peer_eof_ = false;
   bool discarding_ = false;
   bool write_shutdown_ = false;
@@ -588,18 +627,18 @@ void LiveOriginServer::stop() {
   stop_shards(shards_, [](LoopShard&) {});
 }
 
-void LiveOriginServer::handle_request(const std::shared_ptr<Conn>& conn) {
+void LiveOriginServer::handle_request(const std::shared_ptr<Conn>& conn, ConnSlot& slot) {
   // Served inline on the loop thread: OriginServer::serve is a pure
   // internally-synchronized request->response mapping with no blocking I/O.
   if (is_admin_path(conn->request_view().path())) {
-    conn->complete(metrics_response(registry_, conn->request_view().path()));
+    conn->complete(slot, metrics_response(registry_, conn->request_view().path()));
     return;
   }
   requests_total_->inc();
   const auto started = std::chrono::steady_clock::now();
   http::Response response;
   try {
-    response = origin_->serve(conn->materialize_request());
+    response = origin_->serve(conn->materialize_request(slot));
   } catch (const Error& e) {
     // A request the app rejects (bad argument, invalid state) fails that one
     // exchange; an uncaught throw here would unwind the loop thread.
@@ -610,14 +649,14 @@ void LiveOriginServer::handle_request(const std::shared_ptr<Conn>& conn) {
                         std::chrono::steady_clock::now() - started)
                         .count());
   ++served_;
-  conn->complete(response);
+  conn->complete(slot, response);
 }
 
 std::shared_ptr<Conn> LiveOriginServer::make_conn(LoopShard* shard, TcpStream stream) {
   if (stopping_.load()) return nullptr;
   auto conn = std::make_shared<Conn>(
       shard->loop.get(), std::move(stream), ReaderLimits{}, seconds(60),
-      [this](const std::shared_ptr<Conn>& c) { handle_request(c); },
+      [this](const std::shared_ptr<Conn>& c, ConnSlot& slot) { handle_request(c, slot); },
       [this, shard](int fd) {
         shard->conns.erase(fd);
         conns_gauge_->set(static_cast<std::int64_t>(open_conns_.fetch_sub(1) - 1));
@@ -693,7 +732,7 @@ std::shared_ptr<Conn> LiveProxyServer::make_conn(LoopShard* shard, TcpStream str
       shard->loop.get(), std::move(stream),
       ReaderLimits{options_.reader_limits.max_head_bytes, options_.reader_limits.max_body_bytes},
       options_.conn_idle_timeout,
-      [this, shard](const std::shared_ptr<Conn>& c) { dispatch(*shard, c); },
+      [this, shard](const std::shared_ptr<Conn>& c, ConnSlot& slot) { dispatch(*shard, c, slot); },
       [this, shard](int fd) {
         shard->conns.erase(fd);
         conns_gauge_->set(static_cast<std::int64_t>(open_conns_.fetch_sub(1) - 1));
@@ -813,14 +852,15 @@ void LiveProxyServer::restore_engine_state() {
   }
 }
 
-void LiveProxyServer::dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn) {
+void LiveProxyServer::dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn,
+                               ConnSlot& slot) {
   const SimTime received = now();
   // Admin requests (metrics scrapes, trace dumps) bypass the engine: they
   // must not create user state or perturb learning. The raw-target path
   // check is exact for the origin-form requests the admin surface is
   // scraped with.
   if (is_admin_path(conn->request_view().path())) {
-    const http::Request& request = conn->materialize_request();
+    const http::Request& request = conn->materialize_request(slot);
     obs::RequestTrace trace;
     trace.user = "-";
     trace.method = request.method;
@@ -830,21 +870,21 @@ void LiveProxyServer::dispatch(LoopShard& shard, const std::shared_ptr<Conn>& co
     http::Response resp = handle_admin(request);
     trace.end_us = now();
     traces_.push(std::move(trace));
-    conn->complete(resp);
+    conn->complete(slot, resp);
     return;
   }
   try {
-    process_request(shard, conn, received);
+    process_request(shard, conn, slot, received);
   } catch (const Error& e) {
     // Engine exceptions (invalid argument/state on a reachable path) fail
     // the one request as a 500 instead of unwinding the loop thread.
     log_warn("net.proxy") << "request failed: " << e.what();
-    conn->complete(*internal_error_response());
+    conn->complete(slot, *internal_error_response());
   }
 }
 
 void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Conn>& conn,
-                                      SimTime received) {
+                                      ConnSlot& slot, SimTime received) {
   // One logical user per connection source; for the loopback demo each
   // client identifies itself with an X-Appx-User header (falling back to a
   // shared id). A production front end would key on client address.
@@ -853,7 +893,8 @@ void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Co
   // pair, cached on the connection; subsequent requests reuse the interned
   // UserId so steady-state events skip the name lookup (and, on the sharded
   // runtime, go straight to the owning shard). The name is read from the
-  // zero-copy view; the owning request is materialized only after that.
+  // zero-copy view; the owning request is materialized into the slot after
+  // that, since a miss outlives the dispatch call.
   const std::string_view user = conn->request_view().header("X-Appx-User").value_or("default");
 
   auto session_it = conn->sessions.find(user);
@@ -864,7 +905,7 @@ void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Co
   }
   core::Session& session = session_it->second;
 
-  http::Request& upstream_request = conn->materialize_request();
+  http::Request& upstream_request = conn->materialize_request(slot);
   upstream_request.headers.remove("X-Appx-User");
   // Origin-form request targets carry no scheme; this front end stands in
   // for the TLS-terminating proxy of the paper's deployment model, so
@@ -889,15 +930,17 @@ void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Co
     trace.end_us = now();
     client_hit_us_->record(trace.end_us - received);
     traces_.push(std::move(trace));
-    conn->complete(*decision.served, "X-Appx-Cache: hit");
+    conn->complete(slot, *decision.served, "X-Appx-Cache: hit");
     issue_prefetches(shard, std::move(decision.prefetches));
     return;
   }
 
-  // The request, the session and the connection's views stay valid until
-  // complete(): the callback holds the connection.
+  // The slot (and the request in it) and the session stay valid until
+  // complete(): the callback holds the connection. Later pipelined requests
+  // on the connection are dispatched meanwhile; the engine sees their
+  // on_request before this on_response.
   const SimTime fetch_start = now();
-  auto on_fetched = [this, &shard, conn, &session, &upstream_request, received, fetch_start,
+  auto on_fetched = [this, &shard, conn, &session, &slot, received, fetch_start,
                      trace = std::move(trace)](
                         std::shared_ptr<const http::Response> response, Duration) mutable {
     if (!response) return;  // server stopping: the connection is already closed
@@ -905,10 +948,10 @@ void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Co
     const SimTime learn_start = now();
     core::Decision learned;
     try {
-      learned = session.on_response(upstream_request, *response, now());
+      learned = session.on_response(slot.request, *response, now());
     } catch (const Error& e) {
       log_warn("net.proxy") << "request failed: " << e.what();
-      conn->complete(*internal_error_response());
+      conn->complete(slot, *internal_error_response());
       return;
     }
     trace.add_span("learn", learn_start, now());
@@ -917,7 +960,7 @@ void LiveProxyServer::process_request(LoopShard& shard, const std::shared_ptr<Co
     client_miss_us_->record(trace.end_us - received);
     traces_.push(std::move(trace));
     prefetches_inflight_.fetch_add(learned.prefetches.size());
-    conn->complete(*response, "X-Appx-Cache: miss");
+    conn->complete(slot, *response, "X-Appx-Cache: miss");
     issue_prefetches(shard, std::move(learned.prefetches));
   };
   shard.upstream->fetch(upstream_request, std::move(on_fetched));

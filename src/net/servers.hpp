@@ -21,7 +21,7 @@
 //     These are the proxy's only threads.
 //   * All socket I/O is one model on either backend: completion ops
 //     (submit_accept, submit_recv, submit_sendmsg, cancel_fd). Each
-//     connection is a non-blocking Conn state machine pinned to its loop
+//     connection is a non-blocking Conn state machine bound to its loop
 //     with one recv and at most one sendmsg in flight: reads feed an
 //     incremental HttpParser (one scratch buffer per connection, reused
 //     across keep-alive requests), responses drain through a pending-write
@@ -29,6 +29,15 @@
 //     timer-heap idle timeout reaps silent or slow-loris connections. On
 //     uring a whole warm exchange rides one batched io_uring_enter; on epoll
 //     it is one recv per readiness and one inline sendmsg.
+//   * Pipelined dispatch: a connection keeps parsing and dispatching
+//     pipelined requests while earlier ones are upstream, up to a ring of
+//     16 in flight, and writes their responses strictly in request order
+//     (RFC 9112 §9.3.2); the ready prefix leaves as one sendmsg batch. A
+//     request's zero-copy view lives only during dispatch; each in-flight
+//     request owns a ring slot holding its materialized http::Request for
+//     the engine and the origin exchange. A full ring is the only
+//     backpressure. Oversized (431/413) and malformed messages are refused
+//     only after the requests before them are answered.
 //   * The whole request path runs on the loop that owns the connection:
 //     engine events are called inline (the engine must be thread-safe —
 //     loops call it concurrently), and origin exchanges — miss and prefetch
@@ -68,6 +77,7 @@
 namespace appx::net {
 
 class Conn;
+struct ConnSlot;
 
 // A prefetch response waiting for the engine to learn it (LiveProxyServer).
 struct FetchedPrefetch {
@@ -118,8 +128,9 @@ class LiveOriginServer {
 
  private:
   // Loop-thread entry; the parsed request rides on the connection as a
-  // zero-copy view (Conn::request_view) instead of a message argument.
-  void handle_request(const std::shared_ptr<Conn>& conn);
+  // zero-copy view (Conn::request_view) for the call, and the response goes
+  // back into `slot`.
+  void handle_request(const std::shared_ptr<Conn>& conn, ConnSlot& slot);
   std::shared_ptr<Conn> make_conn(LoopShard* shard, TcpStream stream);
 
   apps::OriginServer* origin_;
@@ -175,13 +186,16 @@ class LiveProxyServer {
  private:
   // Loop-thread entry: admin requests answered inline, everything else
   // through the engine and, on a miss, `shard`'s origin client. The request
-  // rides on the connection as a zero-copy view (Conn::request_view) over
-  // its pinned parser buffer.
-  void dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn);
+  // rides on the connection as a zero-copy view (Conn::request_view), valid
+  // during this call only; what outlives it is materialized into `slot`,
+  // which the response completes.
+  void dispatch(LoopShard& shard, const std::shared_ptr<Conn>& conn, ConnSlot& slot);
   std::shared_ptr<Conn> make_conn(LoopShard* shard, TcpStream stream);
   // Engine events + origin exchange for one request. Calls Conn::complete
-  // exactly once (now, or when the exchange resolves) unless it throws.
-  void process_request(LoopShard& shard, const std::shared_ptr<Conn>& conn, SimTime received);
+  // on `slot` exactly once (now, or when the exchange resolves) unless it
+  // throws.
+  void process_request(LoopShard& shard, const std::shared_ptr<Conn>& conn, ConnSlot& slot,
+                       SimTime received);
   // Start one background origin exchange per job on `shard`'s loop; each
   // resolves as on_prefetch_response, or on_prefetch_dropped when the server
   // stops first. The caller has already counted the jobs in

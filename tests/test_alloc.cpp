@@ -75,7 +75,6 @@ struct HitPlane {
     parser.append(wire.data(), wire.size());
     const auto message = parser.next_message();
     EXPECT_TRUE(message.has_value());
-    parser.pin();
     arena.reset();
     const http::RequestView view = http::parse_request_view(*message, arena);
     http::materialize(view, scratch);
@@ -85,7 +84,6 @@ struct HitPlane {
     head.clear();
     response->serialize_head_into(head, "X-Appx-Cache: hit");
     http::BodySlab slab = response->body;
-    parser.unpin();
     return slab;
   }
 };

@@ -315,76 +315,5 @@ TEST(HttpParser, ResetDropsBufferedPartialState) {
   EXPECT_EQ(http::Request::parse(*message).uri.path, "/fresh");
 }
 
-// --- HttpParser pinning (views stay valid while a request is processed) -------
-
-TEST(HttpParser, PinnedViewSurvivesConcurrentAppend) {
-  HttpParser parser;
-  const std::string first = "GET /one HTTP/1.1\r\nHost: a.example\r\n\r\n";
-  parser.append(first.data(), first.size());
-  const auto message = parser.next_message();
-  ASSERT_TRUE(message.has_value());
-  parser.pin();
-  const char* data_before = message->data();
-  const std::string snapshot(*message);
-
-  // While pinned, more bytes arriving (the event loop draining an EPOLLHUP)
-  // must not move or mutate the buffer under the outstanding view.
-  const std::string second = "GET /two HTTP/1.1\r\nHost: a.example\r\n\r\n";
-  for (std::size_t i = 0; i < second.size(); ++i) parser.append(second.data() + i, 1);
-  EXPECT_EQ(message->data(), data_before);
-  EXPECT_EQ(*message, snapshot);
-  EXPECT_EQ(parser.pending_bytes(), second.size());  // staged in overflow
-
-  // unpin() merges the staged bytes; the next message parses normally.
-  parser.unpin();
-  EXPECT_FALSE(parser.pinned());
-  const auto next = parser.next_message();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(http::Request::parse(*next).uri.path, "/two");
-  EXPECT_EQ(parser.pending_bytes(), 0u);
-}
-
-TEST(HttpParser, CompactionIsDeferredWhilePinned) {
-  HttpParser parser;
-  // One pipelined burst whose consumed prefix crosses kCompactThreshold
-  // (64 KiB): after polling every message, the very next unpinned append
-  // would compact (erase the prefix, relocating the bytes under any view).
-  const std::string filler_body(16 * 1024, 'x');
-  const std::string filler = "POST /fill HTTP/1.1\r\nContent-Length: " +
-                             std::to_string(filler_body.size()) + "\r\n\r\n" + filler_body;
-  const std::string probe = "GET /probe HTTP/1.1\r\nHost: a.example\r\n\r\n";
-  std::string burst;
-  for (int i = 0; i < 5; ++i) burst += filler;  // > 80 KiB of consumed prefix
-  burst += probe;
-  parser.append(burst.data(), burst.size());
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(parser.next_message().has_value());
-  const auto message = parser.next_message();
-  ASSERT_TRUE(message.has_value());
-  parser.pin();
-  const char* data_before = message->data();
-  const std::string tail = "GET /after HTTP/1.1\r\nHost: a.example\r\n\r\n";
-  parser.append(tail.data(), tail.size());
-  EXPECT_EQ(message->data(), data_before) << "buffer compacted under a pinned view";
-  EXPECT_EQ(http::Request::parse(*message).uri.path, "/probe");
-  parser.unpin();
-  const auto next = parser.next_message();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(http::Request::parse(*next).uri.path, "/after");
-}
-
-TEST(HttpParser, ResetClearsPinAndOverflow) {
-  HttpParser parser;
-  const std::string wire = "GET /x HTTP/1.1\r\nHost: a.example\r\n\r\n";
-  parser.append(wire.data(), wire.size());
-  ASSERT_TRUE(parser.next_message().has_value());
-  parser.pin();
-  parser.append(wire.data(), wire.size());  // staged in overflow
-  EXPECT_GT(parser.pending_bytes(), 0u);
-  parser.reset();
-  EXPECT_FALSE(parser.pinned());
-  EXPECT_EQ(parser.pending_bytes(), 0u);
-  EXPECT_FALSE(parser.next_message().has_value());
-}
-
 }  // namespace
 }  // namespace appx::net

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -32,6 +33,7 @@
 #include "net/servers.hpp"
 #include "net/syscount.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace appx::net {
 namespace {
@@ -57,8 +59,9 @@ class TestClient {
   std::string user_;
 };
 
-// An upstream that accepts connections and then never answers: the classic
-// hung origin. Held connections stay open until the test ends.
+// An upstream that accepts connections, reads one request on each and then
+// never answers: the classic hung origin. It records when each request
+// arrived. Held connections stay open until the test ends.
 class BlackHole {
  public:
   BlackHole() : listener_(0) {
@@ -66,6 +69,16 @@ class BlackHole {
       while (true) {
         TcpStream stream = listener_.accept();
         if (!stream.valid()) return;
+        try {
+          stream.set_read_timeout(seconds(5));
+          HttpReader reader(&stream);
+          if (reader.read_request()) {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            arrivals_.push_back(std::chrono::steady_clock::now());
+          }
+        } catch (const Error&) {
+          // Closed or silent before a whole request arrived.
+        }
         const std::lock_guard<std::mutex> lock(mutex_);
         held_.push_back(std::move(stream));
       }
@@ -76,12 +89,17 @@ class BlackHole {
     if (acceptor_.joinable()) acceptor_.join();
   }
   std::uint16_t port() const { return listener_.port(); }
+  std::vector<std::chrono::steady_clock::time_point> arrivals() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return arrivals_;
+  }
 
  private:
   TcpListener listener_;
   std::thread acceptor_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::vector<TcpStream> held_;
+  std::vector<std::chrono::steady_clock::time_point> arrivals_;
 };
 
 // A blocking origin with one thread per accepted connection, each running
@@ -493,6 +511,12 @@ TEST_F(LiveProxyTest, HungPrefetchUpstreamDoesNotWedgeOtherUsers) {
   proxy.stop();
 }
 
+void raise_peak(std::atomic<std::size_t>& peak, std::size_t now) {
+  std::size_t seen = peak.load();
+  while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+  }
+}
+
 // An origin (thread per connection) that holds every /product/get response
 // for `hold` and records the peak number of those requests in flight at once.
 class SlowDetailOrigin {
@@ -509,10 +533,7 @@ class SlowDetailOrigin {
       while (auto request = reader.read_request()) {
         const bool detail = request->uri.path == "/product/get";
         if (detail) {
-          const std::size_t now = ++in_flight_;
-          std::size_t peak = peak_.load();
-          while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
-          }
+          raise_peak(peak_, ++in_flight_);
           std::this_thread::sleep_for(hold_);
         }
         http::Response response;
@@ -700,7 +721,7 @@ TEST_F(LiveProxyTest, SlowLorisConnectionIsClosedByIdleTimer) {
 
 TEST_F(LiveProxyTest, PipelinedRequestsInOneSegmentAnswerInOrder) {
   // Two complete requests in a single TCP segment: the reactor must parse
-  // both out of one read and answer them in order, one at a time.
+  // both out of one read and answer them in order.
   http::Request first = feed_request();
   first.headers.set("X-Appx-User", "pipeline");
   http::Request second = detail_request(0);
@@ -1119,6 +1140,420 @@ TEST_P(UpstreamExchange, PrefetchLearningYieldsToClientRequests) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, UpstreamExchange, ::testing::Values("epoll", "uring"));
+
+// --- pipelined dispatch, on both backends --------------------------------------
+
+// An origin (thread per connection) serving apps::OriginServer content that
+// holds a request whose query carries `hold_ms=N` for N ms and echoes its
+// `variant` query value as X-Variant. It tracks how many tagged (`variant`)
+// requests it serves at once; the proxy's prefetches carry no tag.
+class HoldingOrigin {
+ public:
+  explicit HoldingOrigin(apps::OriginServer* origin) : origin_(origin) {}
+  std::uint16_t port() const { return server_.port(); }
+  std::size_t peak_tagged() const { return peak_.load(); }
+
+ private:
+  void serve(TcpStream stream) {
+    try {
+      HttpReader reader(&stream);
+      while (auto request = reader.read_request()) {
+        const std::optional<std::string> variant = request->uri.query_param("variant");
+        if (variant) raise_peak(peak_, ++in_flight_);
+        if (const auto hold = request->uri.query_param("hold_ms")) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(std::stoi(*hold)));
+        }
+        http::Response response;
+        {
+          const std::lock_guard<std::mutex> lock(origin_mutex_);
+          response = origin_->serve(*request);
+        }
+        if (variant) {
+          response.headers.set("X-Variant", *variant);
+          --in_flight_;
+        }
+        write_response(stream, response);
+      }
+    } catch (const Error&) {
+      // The proxy closed the connection.
+    }
+  }
+
+  apps::OriginServer* origin_;
+  std::mutex origin_mutex_;
+  std::atomic<std::size_t> in_flight_{0};
+  std::atomic<std::size_t> peak_{0};
+  ThreadedOrigin server_{[this](TcpStream s) { serve(std::move(s)); }};
+};
+
+// `requests`, each tagged with X-Appx-User `user`, as one pipelined byte
+// stream.
+std::string pipelined(std::vector<http::Request> requests, const std::string& user) {
+  std::string wire;
+  for (http::Request& request : requests) {
+    request.headers.set("X-Appx-User", user);
+    wire += request.serialize();
+  }
+  return wire;
+}
+
+// The raw bytes of the next `n` responses on `stream`.
+std::vector<std::string> read_response_wires(TcpStream& stream, std::size_t n) {
+  HttpParser parser;
+  std::vector<std::string> wires;
+  char buf[4096];
+  while (wires.size() < n) {
+    if (const auto message = parser.next_message()) {
+      wires.emplace_back(*message);
+      continue;
+    }
+    const std::size_t got = stream.read_some(buf, sizeof buf);
+    if (got == 0) throw Error("closed after " + std::to_string(wires.size()) + " responses");
+    parser.append(buf, got);
+  }
+  return wires;
+}
+
+class PipelinedDispatch : public UpstreamExchange {
+ protected:
+  // A feed miss tagged `variant` (echoed as X-Variant by HoldingOrigin),
+  // held `hold_ms` at the origin when nonzero.
+  http::Request tagged_feed(const std::string& variant, int hold_ms = 0) const {
+    http::Request req = unique_feed(variant);
+    if (hold_ms > 0) req.uri.add_query_param("hold_ms", std::to_string(hold_ms));
+    return req;
+  }
+
+  // Teach `user`'s session the feed and the detail values, so that
+  // detail_request(1..) are cache hits.
+  void prime(LiveProxyServer& proxy, const std::string& user) {
+    TestClient client(proxy.port(), user);
+    ASSERT_TRUE(client.send(feed_request()).ok());
+    ASSERT_TRUE(client.send(detail_request(0)).ok());
+    proxy.drain_prefetches();
+  }
+
+  static TcpStream connect_to(const LiveProxyServer& proxy) {
+    TcpStream stream = TcpStream::connect("127.0.0.1", proxy.port());
+    stream.set_read_timeout(seconds(10));
+    return stream;
+  }
+};
+
+TEST_P(PipelinedDispatch, PipelinedMissesRunConcurrentlyAndAnswerInOrder) {
+  // The origin holds the first miss 200 ms. The second reaches it meanwhile
+  // (one request at a time would show a peak of 1) and is answered first
+  // upstream, yet its response leaves after the first one.
+  HoldingOrigin origin(&origin_);
+  auto proxy = proxy_to(origin.port(), options());
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(pipelined({tagged_feed("first", 200), tagged_feed("second")}, "u1"));
+  HttpReader reader(&stream);
+  const auto first = reader.read_response();
+  const auto second = reader.read_response();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->headers.get("X-Variant").value_or(""), "first");
+  EXPECT_EQ(second->headers.get("X-Variant").value_or(""), "second");
+  EXPECT_EQ(second->headers.get("X-Appx-Cache").value_or(""), "miss");
+  EXPECT_EQ(origin.peak_tagged(), 2u);
+}
+
+TEST_P(PipelinedDispatch, RingBoundsTheRequestsInFlightPerConnection) {
+  // 40 pipelined misses against an origin that never answers: 16 are in
+  // flight at once, and each 504 at the deadline frees a slot for the next,
+  // so the batch drains in three deadline rounds (16 + 16 + 8).
+  BlackHole hole;
+  core::EngineOptions opts = options();
+  const auto deadline = std::chrono::milliseconds(400);
+  opts.request_deadline = milliseconds(deadline.count());
+  auto proxy = proxy_to(hole.port(), opts);
+  std::vector<http::Request> batch;
+  for (int i = 0; i < 40; ++i) batch.push_back(unique_feed("ring" + std::to_string(i)));
+  TcpStream stream = connect_to(*proxy);
+  const auto started = std::chrono::steady_clock::now();
+  stream.write_all(pipelined(std::move(batch), "u1"));
+  HttpReader reader(&stream);
+  for (int i = 0; i < 40; ++i) {
+    const auto response = reader.read_response();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    EXPECT_EQ(response->status, 504) << "response " << i;
+  }
+  const double elapsed = ms_since(started);
+  EXPECT_GE(elapsed, 3 * deadline.count() - 10.0);
+  EXPECT_LT(elapsed, 3 * deadline.count() + 2000.0);
+
+  // The origin saw 16 requests before the first deadline and all 40 in the end.
+  const auto arrivals = hole.arrivals();
+  ASSERT_EQ(arrivals.size(), 40u);
+  const auto first_round_ends = arrivals.front() + deadline / 2;
+  EXPECT_EQ(std::count_if(arrivals.begin(), arrivals.end(),
+                          [&](auto t) { return t < first_round_ends; }),
+            16);
+}
+
+TEST_P(PipelinedDispatch, MoreThanARingOfInlineAnswersDrainsWithoutMoreInput) {
+  // 40 admin requests in one segment are answered inline at dispatch, so
+  // the ring fills with ready slots: it must flush them and dispatch the
+  // rest of the buffered batch without waiting for another read.
+  auto proxy = proxy_to(origin_server_.port(), options());
+  std::vector<http::Request> batch(40, admin_request("/appx/nope"));
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(pipelined(std::move(batch), "u1"));
+  HttpReader reader(&stream);
+  for (int i = 0; i < 40; ++i) {
+    const auto response = reader.read_response();
+    ASSERT_TRUE(response.has_value()) << "response " << i;
+    EXPECT_EQ(response->status, 404) << "response " << i;
+  }
+}
+
+TEST_P(PipelinedDispatch, HeldMissesOfOtherClientsDoNotDelayAMiss) {
+  // One loop, two clients pipelining 16 misses each that the origin holds
+  // for seconds: all 32 reach the origin at once, and a third client's miss
+  // meanwhile is answered at the origin's own pace, not after them.
+  HoldingOrigin origin(&origin_);
+  core::EngineOptions opts = options();
+  opts.loop_threads = 1;
+  auto proxy = proxy_to(origin.port(), opts);
+  std::vector<TcpStream> held;
+  for (int c = 0; c < 2; ++c) {
+    std::vector<http::Request> batch;
+    for (int i = 0; i < 16; ++i) {
+      batch.push_back(tagged_feed("held" + std::to_string(c) + "-" + std::to_string(i), 2000));
+    }
+    held.push_back(connect_to(*proxy));
+    held.back().write_all(pipelined(std::move(batch), "u" + std::to_string(c)));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (origin.peak_tagged() < 32 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(origin.peak_tagged(), 32u);
+
+  TcpStream third = connect_to(*proxy);
+  const auto started = std::chrono::steady_clock::now();
+  third.write_all(pipelined({tagged_feed("prompt")}, "u2"));
+  HttpReader third_reader(&third);
+  const auto answer = third_reader.read_response();
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->headers.get("X-Variant").value_or(""), "prompt");
+  EXPECT_LT(ms_since(started), 1000.0);
+
+  for (int c = 0; c < 2; ++c) {
+    HttpReader reader(&held[c]);
+    for (int i = 0; i < 16; ++i) {
+      const auto response = reader.read_response();
+      ASSERT_TRUE(response.has_value());
+      EXPECT_EQ(response->headers.get("X-Variant").value_or(""),
+                "held" + std::to_string(c) + "-" + std::to_string(i));
+    }
+  }
+}
+
+TEST_P(PipelinedDispatch, EveryPipelinedMissIsAnsweredWithoutKeepAlive) {
+  // upstream_pool_per_host = 0 connects (and closes) an origin connection
+  // per exchange, so pipelined waves from several clients churn descriptors
+  // on one loop as fast as it runs. Every miss must still be answered, in
+  // order, well inside the request deadline.
+  core::EngineOptions opts = options();
+  opts.loop_threads = 1;
+  opts.upstream_pool_per_host = 0;
+  opts.request_deadline = seconds(5);  // a lost exchange shows as a 504
+  auto proxy = proxy_to(origin_server_.port(), opts);
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 16;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<TcpStream> streams;
+    for (int c = 0; c < kClients; ++c) {
+      std::vector<http::Request> batch;
+      for (int i = 0; i < kPerClient; ++i) {
+        batch.push_back(tagged_feed("r" + std::to_string(round) + "c" + std::to_string(c) +
+                                    "-" + std::to_string(i)));
+      }
+      streams.push_back(connect_to(*proxy));
+      streams.back().write_all(pipelined(std::move(batch), "u" + std::to_string(c)));
+    }
+    for (int c = 0; c < kClients; ++c) {
+      HttpReader reader(&streams[c]);
+      for (int i = 0; i < kPerClient; ++i) {
+        const auto response = reader.read_response();
+        ASSERT_TRUE(response.has_value()) << "round " << round << " client " << c << " #" << i;
+        EXPECT_EQ(response->status, 200) << "round " << round << " client " << c << " #" << i;
+      }
+    }
+  }
+  proxy->drain_prefetches();
+  EXPECT_EQ(counter(*proxy, "appx_upstream_reuse_total"), 0);
+}
+
+TEST_P(PipelinedDispatch, RandomSplitPointsGiveTheSameResponseBytes) {
+  // A pipelined batch of hits, misses and admin requests, written in seeded
+  // random segments, yields byte-identical responses to a one-segment write.
+  // The metrics scrape's body carries live counters, so only its status
+  // line is compared.
+  auto proxy = proxy_to(origin_server_.port(), options());
+  prime(*proxy, "split");
+  http::Request unknown = detail_request(0);
+  unknown.uri.path = "/definitely/not";
+  const std::string batch = pipelined(
+      {detail_request(1), unknown, detail_request(2), admin_request("/appx/metrics"),
+       detail_request(3), unknown, admin_request("/appx/nope"), detail_request(4)},
+      "split");
+  constexpr std::size_t kResponses = 8;
+  constexpr std::size_t kScrape = 3;
+  const auto status_line = [](const std::string& wire) { return wire.substr(0, wire.find("\r\n")); };
+
+  TcpStream single = connect_to(*proxy);
+  single.write_all(batch);
+  const std::vector<std::string> expected = read_response_wires(single, kResponses);
+  EXPECT_NE(expected[0].find("X-Appx-Cache: hit"), std::string::npos);
+  EXPECT_NE(expected[1].find("X-Appx-Cache: miss"), std::string::npos);
+  EXPECT_EQ(status_line(expected[kScrape]), "HTTP/1.1 200 OK");
+
+  Rng rng(17);
+  for (int trial = 0; trial < 12; ++trial) {
+    std::vector<std::size_t> cuts;
+    const auto n_cuts = rng.uniform_int(1, 8);
+    for (std::int64_t i = 0; i < n_cuts; ++i) {
+      cuts.push_back(static_cast<std::size_t>(
+          rng.uniform_int(1, static_cast<std::int64_t>(batch.size()) - 1)));
+    }
+    cuts.push_back(batch.size());
+    std::sort(cuts.begin(), cuts.end());
+    TcpStream stream = connect_to(*proxy);
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+      if (cut == from) continue;
+      stream.write_all(std::string_view(batch).substr(from, cut - from));
+      from = cut;
+      std::this_thread::sleep_for(std::chrono::microseconds(rng.uniform_int(0, 2000)));
+    }
+    const std::vector<std::string> got = read_response_wires(stream, kResponses);
+    for (std::size_t i = 0; i < kResponses; ++i) {
+      if (i == kScrape) {
+        EXPECT_EQ(status_line(got[i]), status_line(expected[i])) << "trial " << trial;
+      } else {
+        EXPECT_EQ(got[i], expected[i]) << "trial " << trial << ", response " << i;
+      }
+    }
+  }
+}
+
+TEST_P(PipelinedDispatch, PrefetchAccountingBalancesAfterPipelinedWaves) {
+  // Waves on one connection, as an app's HTTP client sends them: the feed
+  // and the first detail together (the detail's on_request precedes the
+  // feed's on_response), then a photo-like wave of details.
+  auto proxy = proxy_to(origin_server_.port(), options());
+  TcpStream stream = connect_to(*proxy);
+  HttpReader reader(&stream);
+  const auto wave = [&](std::vector<http::Request> requests) {
+    const std::size_t n = requests.size();
+    stream.write_all(pipelined(std::move(requests), "waves"));
+    std::vector<http::Response> responses;
+    for (std::size_t i = 0; i < n; ++i) {
+      auto response = reader.read_response();
+      if (!response) throw Error("connection closed mid-wave");
+      responses.push_back(std::move(*response));
+    }
+    return responses;
+  };
+  for (const auto& response : wave({feed_request(), detail_request(0)})) {
+    EXPECT_TRUE(response.ok());
+  }
+  for (const auto& response :
+       wave({detail_request(1), detail_request(2), detail_request(3), detail_request(4)})) {
+    EXPECT_TRUE(response.ok());
+  }
+  proxy->drain_prefetches();
+  for (const auto& response :
+       wave({detail_request(5), detail_request(6), detail_request(7), detail_request(8)})) {
+    EXPECT_EQ(response.headers.get("X-Appx-Cache").value_or(""), "hit");
+  }
+  proxy->drain_prefetches();
+  const auto& stats = adapter_->stats();
+  EXPECT_GT(stats.prefetches_issued, 8u);
+  EXPECT_EQ(stats.prefetch_responses + stats.prefetch_failures + stats.prefetches_dropped,
+            stats.prefetches_issued);
+}
+
+TEST_P(PipelinedDispatch, OversizedRequestIsRefusedAfterTheRequestsBeforeIt) {
+  // The 431 for the second request queues behind the first one's response,
+  // which the origin holds 200 ms; then the connection closes.
+  HoldingOrigin origin(&origin_);
+  core::EngineOptions opts = options();
+  opts.reader_limits.max_head_bytes = 512;
+  auto proxy = proxy_to(origin.port(), opts);
+  http::Request huge = feed_request();
+  huge.headers.set("X-Huge", std::string(2048, 'h'));
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(pipelined({tagged_feed("held", 200), huge}, "u1"));
+  HttpReader reader(&stream);
+  const auto first = reader.read_response();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->status, 200);
+  EXPECT_EQ(first->headers.get("X-Variant").value_or(""), "held");
+  const auto refused = reader.read_response();
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->status, 431);
+  EXPECT_FALSE(reader.read_response().has_value());
+}
+
+TEST_P(PipelinedDispatch, MalformedRequestIsAnsweredAfterTheGoodOnesBeforeIt) {
+  HoldingOrigin origin(&origin_);
+  auto proxy = proxy_to(origin.port(), options());
+  prime(*proxy, "u1");
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(pipelined({detail_request(1), tagged_feed("held", 100)}, "u1") +
+                   "BOGUS\r\n\r\n");
+  HttpReader reader(&stream);
+  const auto hit = reader.read_response();
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->headers.get("X-Appx-Cache").value_or(""), "hit");
+  const auto miss = reader.read_response();
+  ASSERT_TRUE(miss.has_value());
+  EXPECT_EQ(miss->headers.get("X-Variant").value_or(""), "held");
+  EXPECT_FALSE(reader.read_response().has_value());
+}
+
+TEST_P(PipelinedDispatch, HalfCloseAfterAPipelinedBatchStillGetsEveryResponse) {
+  HoldingOrigin origin(&origin_);
+  auto proxy = proxy_to(origin.port(), options());
+  prime(*proxy, "u1");
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(
+      pipelined({tagged_feed("a", 200), detail_request(1), tagged_feed("b")}, "u1"));
+  stream.shutdown_write();
+  HttpReader reader(&stream);
+  const auto a = reader.read_response();
+  const auto hit = reader.read_response();
+  const auto b = reader.read_response();
+  ASSERT_TRUE(a.has_value() && hit.has_value() && b.has_value());
+  EXPECT_EQ(a->headers.get("X-Variant").value_or(""), "a");
+  EXPECT_EQ(hit->headers.get("X-Appx-Cache").value_or(""), "hit");
+  EXPECT_EQ(b->headers.get("X-Variant").value_or(""), "b");
+  char buf[64];
+  EXPECT_EQ(stream.read_some(buf, sizeof buf), 0u);  // EOF: every answer written
+}
+
+TEST_P(PipelinedDispatch, IdleTimerSparesAConnectionWithRequestsInFlight) {
+  // The origin holds the first request three idle periods; the connection
+  // must survive to deliver both responses.
+  HoldingOrigin origin(&origin_);
+  core::EngineOptions opts = options();
+  opts.conn_idle_timeout = milliseconds(200);
+  auto proxy = proxy_to(origin.port(), opts);
+  TcpStream stream = connect_to(*proxy);
+  stream.write_all(pipelined({tagged_feed("slow", 600), tagged_feed("fast")}, "u1"));
+  HttpReader reader(&stream);
+  const auto slow = reader.read_response();
+  const auto fast = reader.read_response();
+  ASSERT_TRUE(slow.has_value() && fast.has_value());
+  EXPECT_EQ(slow->headers.get("X-Variant").value_or(""), "slow");
+  EXPECT_EQ(fast->headers.get("X-Variant").value_or(""), "fast");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, PipelinedDispatch, ::testing::Values("epoll", "uring"));
 
 TEST(LiveOrigin, MetricsEndpointCountsServes) {
   apps::AppSpec spec = apps::make_wish();
@@ -1668,6 +2103,76 @@ TEST_P(EventLoopConformance, CancelStormDropsEveryPendingCallback) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(cb_ran.load(), 0);
+}
+
+TEST_P(EventLoopConformance, CancelledRecvNeverReadsTheSocketThatReusesItsDescriptor) {
+  // Regression (uring): a recv still queued when its fd is cancelled and
+  // closed was submitted later anyway, against whatever then held that
+  // descriptor number (or fixed-file slot) — a new connection's socket,
+  // whose bytes it consumed and dropped. All in one task: queue a recv,
+  // cancel and close its fd, reuse the number for a socket that already
+  // has data, and read it.
+  int old_pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, old_pair), 0);
+  int fresh[2] = {-1, -1};
+  char old_buf[8];
+  char buf[8];
+  std::atomic<int> got{-1};
+  on_loop([&] {
+    loop_->submit_recv(old_pair[0], old_buf, sizeof old_buf, [](int) {});
+    loop_->cancel_fd(old_pair[0]);
+    ::close(old_pair[0]);
+    ::close(old_pair[1]);
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fresh), 0);
+    EXPECT_EQ(::write(fresh[1], "x", 1), 1);
+    loop_->submit_recv(fresh[0], buf, sizeof buf, [&](int res) { got = res; });
+  });
+  EXPECT_EQ(fresh[0], old_pair[0]);  // the freed number came back
+  EXPECT_TRUE(wait_for_cond([&] { return got.load() != -1; }, std::chrono::milliseconds(2000)))
+      << "the new socket's byte went to the cancelled recv";
+  EXPECT_EQ(got.load(), 1);
+  on_loop([&] { loop_->cancel_fd(fresh[0]); });
+  ::close(fresh[0]);
+  ::close(fresh[1]);
+}
+
+TEST_P(EventLoopConformance, CompletionsPostedDuringAPassWaitForTheNextIteration) {
+  // Regression (uring): one pass over the completion queue ran until it
+  // found the queue empty. Completions keep arriving while slow callbacks
+  // run, so under a steady stream one pass lasted as long as the stream,
+  // with its queued ops unsubmitted and its timers unfired. Here each recv
+  // callback takes 4 ms while another peer is poked every millisecond; the
+  // first callback arms a timer due at once, which must fire after the few
+  // recvs that had completed, not after all of them.
+  constexpr int kPairs = 48;
+  std::vector<std::unique_ptr<Pair>> pairs;
+  for (int i = 0; i < kPairs; ++i) pairs.push_back(std::make_unique<Pair>());
+  static char buf[kPairs][8];
+  std::atomic<int> recvs{0};
+  std::atomic<bool> armed{false};
+  std::atomic<int> recvs_before_timer{-1};
+  on_loop([&] {
+    for (int i = 0; i < kPairs; ++i) {
+      loop_->submit_recv(pairs[i]->fds[0], buf[i], sizeof buf[i], [&](int) {
+        if (!armed.exchange(true)) {
+          loop_->add_timer(std::chrono::steady_clock::now(),
+                           [&] { recvs_before_timer = recvs.load(); });
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(4));
+        recvs.fetch_add(1);
+      });
+    }
+  });
+  for (const auto& p : pairs) {
+    p->poke();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(wait_for_cond([&] { return recvs.load() == kPairs; }));
+  ASSERT_TRUE(wait_for_cond([&] { return recvs_before_timer.load() >= 0; }));
+  EXPECT_LT(recvs_before_timer.load(), kPairs / 2);
+  on_loop([&] {
+    for (const auto& p : pairs) loop_->cancel_fd(p->fds[0]);
+  });
 }
 
 TEST_P(EventLoopConformance, AcceptDeliversEveryConnection) {
