@@ -23,6 +23,9 @@
 //   2. ramp    — sessions connect at ramped, seeded start times.
 //   3. measure — samples whose intended send time falls in the window feed
 //                the hit/miss histograms; sustained RPS = completed/window.
+//   4. drain   — after the window nothing more is sent, and the requests
+//                already sent get up to kDrainSeconds to be answered;
+//                --smoke fails if any is left unanswered.
 //
 // Emits one JSON object on stdout (recorded in BENCH_macro.json): sustained
 // RPS, p50/p99/p99.9 user-perceived latency split hit/miss, prefetch hit
@@ -214,6 +217,10 @@ BaseStream record_stream(const apps::AppSpec& spec, apps::OriginServer& origin,
 
 using Clock = std::chrono::steady_clock;
 
+// How long the generator waits, after the window, for answers to requests it
+// already sent.
+constexpr int kDrainSeconds = 10;
+
 struct SharedStats {
   obs::Histogram hit_us;
   obs::Histogram miss_us;
@@ -224,6 +231,7 @@ struct SharedStats {
   std::atomic<std::uint64_t> conn_errors{0};      // failed connects, resets, parse errors
   std::atomic<std::uint64_t> connects_ok{0};
   std::atomic<std::int64_t> max_send_lag_us{0};   // generator behind its own schedule
+  std::atomic<bool> draining{false};              // window over: send nothing more
 };
 
 // One user session: a non-blocking connection replaying its scheduled step
@@ -310,7 +318,7 @@ class UserConn : public std::enable_shared_from_this<UserConn> {
   }
 
   void fire_step() {
-    if (closed_) return;
+    if (closed_ || stats_->draining.load(std::memory_order_relaxed)) return;
     const StepTemplate& step = base_->steps[next_step_];
     const std::int64_t intended = step_time_us(step);
     const std::int64_t lag = now_us() - intended;
@@ -686,6 +694,14 @@ int main(int argc, char** argv) {
                                      : stats.connects_ok.load();
     const json::Value server_metrics = scrape_metrics(proxy_port);
 
+    // Drain: send nothing more, and let the requests already sent be
+    // answered before the connections close (the smoke gates on it).
+    stats.draining.store(true);
+    const Clock::time_point drain_deadline = Clock::now() + std::chrono::seconds(kDrainSeconds);
+    while (stats.completed.load() < stats.sent.load() && Clock::now() < drain_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+
     for (std::size_t l = 0; l < loops.size(); ++l) {
       net::EventLoop* loop = loops[l].get();
       auto* conns = &conns_per_loop[l];
@@ -802,6 +818,14 @@ int main(int argc, char** argv) {
                      prefetch_dropped);
         exit_code = 1;
       }
+      if (stats.completed.load() < stats.sent.load()) {
+        std::fprintf(stderr,
+                     "bench_macro: GATE FAIL: %llu of %llu requests unanswered after a %d s "
+                     "drain (want 0)\n",
+                     static_cast<unsigned long long>(stats.sent.load() - stats.completed.load()),
+                     static_cast<unsigned long long>(stats.sent.load()), kDrainSeconds);
+        exit_code = 1;
+      }
       if (all.count == 0) {
         std::fprintf(stderr, "bench_macro: GATE FAIL: no samples in measurement window\n");
         exit_code = 1;
@@ -820,7 +844,7 @@ int main(int argc, char** argv) {
       if (exit_code == 0) {
         std::fprintf(stderr,
                      "bench_macro: smoke gates pass (p99 %.1f ms <= %.1f, hit ratio %.3f >= "
-                     "%.3f, 0 conn errors)\n",
+                     "%.3f, 0 conn errors, every request answered)\n",
                      all.p99_ms, opt.gate_p99_ms, hit_ratio, opt.gate_hit_ratio);
       }
     }

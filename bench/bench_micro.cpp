@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): throughput of the pieces on
 // the proxy's per-message fast path — pattern matching, template fill/extract,
 // JSON parsing, signature matching, dynamic learning, cache lookup — plus the
-// offline static-analysis cost.
+// three steps of a proxy's start-up: compile, analyse, build the engine.
 #include <benchmark/benchmark.h>
 
 #include "analysis/analyzer.hpp"
@@ -10,6 +10,8 @@
 #include "apps/server.hpp"
 #include "core/learning.hpp"
 #include "core/proxy.hpp"
+#include "core/sharded_proxy.hpp"
+#include "eval/experiments.hpp"
 #include "json/json.hpp"
 #include "pattern/regex.hpp"
 
@@ -36,8 +38,8 @@ void BM_RegexMatch(benchmark::State& state) {
 BENCHMARK(BM_RegexMatch);
 
 void BM_RegexMatchDFA(benchmark::State& state) {
-  // Same pattern and input through the lazy DFA (full_match's default path);
-  // after warm-up every byte is a single cached-transition lookup.
+  // Same pattern and input through the DFA (full_match's default path): every
+  // byte is a single transition-table lookup.
   const pattern::Regex re(".*/api/tab/[0-9]+/content");
   const std::string input = "https://api.wish.example/api/tab/7/content";
   for (auto _ : state) {
@@ -196,6 +198,29 @@ void BM_StaticAnalysisWish(benchmark::State& state) {
   state.counters["instructions"] = static_cast<double>(program.instruction_count());
 }
 BENCHMARK(BM_StaticAnalysisWish)->Unit(benchmark::kMillisecond);
+
+void BM_CompileWish(benchmark::State& state) {
+  // Start-up before the analysis: lower the Wish spec to its SAPK program.
+  const apps::AppSpec spec = apps::make_wish();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(apps::compile_app(spec));
+  }
+}
+BENCHMARK(BM_CompileWish)->Unit(benchmark::kMillisecond);
+
+void BM_ShardedEngineBuildWish(benchmark::State& state) {
+  // Start-up after the analysis: a 4-shard engine over the analysed Wish
+  // set, configured as the live proxy deploys it.
+  static const eval::AnalyzedApp app = eval::analyze_app(apps::make_wish());
+  const core::ProxyConfig config = eval::deployment_config(app);
+  core::EngineOptions options = core::EngineOptions::from_config(config);
+  options.shards = 4;
+  for (auto _ : state) {
+    core::ShardedProxyEngine engine(&app.analysis.signatures, &config, options);
+    benchmark::DoNotOptimize(engine.shard_count());
+  }
+}
+BENCHMARK(BM_ShardedEngineBuildWish)->Unit(benchmark::kMillisecond);
 
 void BM_SapkRoundTrip(benchmark::State& state) {
   const ir::Program program = apps::compile_app(apps::make_wish());

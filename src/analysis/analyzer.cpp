@@ -1,8 +1,11 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <tuple>
+#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -32,37 +35,63 @@ struct Node;
 using ValuePtr = std::shared_ptr<const Node>;
 using ObjectPtr = std::shared_ptr<ObjectData>;
 
+// A defining instruction. The method name is borrowed from the program, which
+// outlives the analysis, so recording an origin copies no string; SliceEntry
+// values are built from origins only when the result's slices are filled.
+// A send site is identified by the origin of its send instruction.
+struct Origin {
+  const std::string* method = nullptr;
+  std::size_t pc = 0;
+
+  bool operator==(const Origin&) const = default;
+};
+
+// Identity order (method object, then pc): cheap, and stable within one run.
+struct OriginLess {
+  bool operator()(const Origin& a, const Origin& b) const {
+    if (a.method != b.method) return std::less<const std::string*>()(a.method, b.method);
+    return a.pc < b.pc;
+  }
+};
+
+// Appends the send-site key "method:pc" that names a site in hole names.
+void append_site_key(std::string& out, const Origin& site) {
+  out += *site.method;
+  out += ':';
+  out += std::to_string(site.pc);
+}
+
 struct Node {
   enum class Kind { kConst, kEnv, kConcat, kResp, kRespField, kObject, kUnknown };
   Kind kind = Kind::kUnknown;
-  std::string text;            // const text / env name
-  std::vector<ValuePtr> parts; // concat parts; also provenance links
-  std::string site;            // resp / resp-field: send-site key
-  std::string path;            // resp-field JSON path
+  std::string text;            // const text / env name / resp-field JSON path
+  std::vector<ValuePtr> parts; // concat parts
+  ValuePtr from;               // resp-field: the value it was read from
+  Origin site;                 // resp / resp-field: the send instruction
   ObjectPtr object;            // heap reference
-  SliceEntry origin;           // defining instruction
+  Origin origin;               // defining instruction
 };
 
-ValuePtr make_unknown(SliceEntry origin) {
+ValuePtr make_unknown(Origin origin) {
   auto n = std::make_shared<Node>();
   n->kind = Node::Kind::kUnknown;
-  n->origin = std::move(origin);
+  n->origin = origin;
   return n;
 }
 
-ValuePtr make_const(std::string text, SliceEntry origin) {
+ValuePtr make_const(std::string text, Origin origin) {
   auto n = std::make_shared<Node>();
   n->kind = Node::Kind::kConst;
   n->text = std::move(text);
-  n->origin = std::move(origin);
+  n->origin = origin;
   return n;
 }
 
-ValuePtr make_env(std::string name, SliceEntry origin) {
+ValuePtr make_env(std::string name, Origin origin) {
   auto n = std::make_shared<Node>();
   n->kind = Node::Kind::kEnv;
   n->text = std::move(name);
-  n->origin = std::move(origin);
+  n->origin = origin;
   return n;
 }
 
@@ -84,7 +113,7 @@ bool values_equal(const ValuePtr& a, const ValuePtr& b) {
     case Node::Kind::kResp:
       return a->site == b->site;
     case Node::Kind::kRespField:
-      return a->site == b->site && a->path == b->path;
+      return a->site == b->site && a->text == b->text;
     case Node::Kind::kObject:
       return a->object == b->object;
     case Node::Kind::kUnknown:
@@ -93,10 +122,13 @@ bool values_equal(const ValuePtr& a, const ValuePtr& b) {
   return false;
 }
 
-void collect_origins(const ValuePtr& v, std::set<SliceEntry>& out) {
+// Appends the origins of `v` and of everything it was built from; duplicates
+// are removed when the slice is finished.
+void collect_origins(const ValuePtr& v, std::vector<Origin>& out) {
   if (!v) return;
-  out.insert(v->origin);
+  out.push_back(v->origin);
   for (const ValuePtr& part : v->parts) collect_origins(part, out);
+  collect_origins(v->from, out);
 }
 
 // --- builders and heap ---------------------------------------------------------------
@@ -105,7 +137,7 @@ struct BuilderField {
   std::string name;
   ValuePtr value;
   bool optional = false;
-  SliceEntry origin;
+  Origin origin;
 };
 
 struct BuilderData {
@@ -114,7 +146,7 @@ struct BuilderData {
   std::vector<BuilderField> query;
   std::vector<BuilderField> headers;
   std::vector<BuilderField> body;
-  std::set<SliceEntry> op_origins;  // builder-mutating instructions
+  std::vector<Origin> op_origins;  // builder-mutating instructions
 };
 
 struct ObjectData {
@@ -124,28 +156,27 @@ struct ObjectData {
 };
 
 struct SendSite {
-  std::string key;  // "method:pc"
   std::string label;
   std::string body_kind;
   BuilderData builder;
-  std::set<std::string> response_paths;
-  std::set<SliceEntry> slice;
+  std::vector<std::string> response_paths;  // unsorted, may repeat
+  std::vector<Origin> slice;  // unsorted, may repeat
 };
 
-ValuePtr make_object(std::string class_name, bool is_builder, SliceEntry origin) {
+ValuePtr make_object(std::string class_name, bool is_builder, Origin origin) {
   auto obj = std::make_shared<ObjectData>();
   obj->class_name = std::move(class_name);
   if (is_builder) obj->builder = std::make_unique<BuilderData>();
   auto n = std::make_shared<Node>();
   n->kind = Node::Kind::kObject;
   n->object = std::move(obj);
-  n->origin = std::move(origin);
+  n->origin = origin;
   return n;
 }
 
 // Deep-ish copy used when alias analysis is disabled: the copy shares no
 // mutable state with the original, so later writes are invisible through it.
-ValuePtr copy_object(const ValuePtr& v, SliceEntry origin) {
+ValuePtr copy_object(const ValuePtr& v, Origin origin) {
   auto obj = std::make_shared<ObjectData>();
   obj->class_name = v->object->class_name;
   obj->fields = v->object->fields;
@@ -153,7 +184,7 @@ ValuePtr copy_object(const ValuePtr& v, SliceEntry origin) {
   auto n = std::make_shared<Node>();
   n->kind = Node::Kind::kObject;
   n->object = std::move(obj);
-  n->origin = std::move(origin);
+  n->origin = origin;
   return n;
 }
 
@@ -165,7 +196,12 @@ ValuePtr copy_object(const ValuePtr& v, SliceEntry origin) {
 class Interpreter {
  public:
   Interpreter(const Program& program, const AnalysisOptions& options)
-      : program_(program), options_(options) {}
+      : program_(program), options_(options) {
+    // Program::find_method scans linearly; calls resolve through this index
+    // instead (first definition of a name wins, as in find_method).
+    methods_by_name_.reserve(program.methods.size());
+    for (const Method& m : program.methods) methods_by_name_.emplace(m.name, &m);
+  }
 
   void run() {
     for (std::size_t iteration = 0; iteration < options_.max_fixpoint_iterations; ++iteration) {
@@ -175,39 +211,38 @@ class Interpreter {
       // merging with them.
       sites_.clear();
       site_order_.clear();
-      methods_seen_.clear();
+      methods_seen_.assign(program_.methods.size(), false);
       intent_changed_ = false;
       for (const std::string& entry : program_.entry_points) {
         const Method& method = program_.get_method(entry);
-        std::vector<std::string> stack;
+        std::vector<const Method*> stack;
         interpret(method, {}, 0, stack);
       }
       if (!intent_changed_) break;
     }
-    report_.methods_analyzed = methods_seen_.size();
+    report_.methods_analyzed = static_cast<std::size_t>(
+        std::count(methods_seen_.begin(), methods_seen_.end(), true));
     report_.send_sites = site_order_.size();
   }
 
   AnalysisResult finish();
 
  private:
-  SliceEntry here(const Method& method, std::size_t pc) const {
-    return SliceEntry{method.name, pc};
-  }
+  static Origin here(const Method& method, std::size_t pc) { return Origin{&method.name, pc}; }
 
   ValuePtr interpret(const Method& method, std::vector<ValuePtr> args, std::size_t depth,
-                     std::vector<std::string>& stack);
+                     std::vector<const Method*>& stack);
 
-  ValuePtr rx_element_of(const ValuePtr& v, SliceEntry origin) const {
+  ValuePtr rx_element_of(const ValuePtr& v, Origin origin) const {
     // flatMap iterates the elements of an observable built from `v`; when v
     // names a JSON array, the element is the per-element ([*]) path.
     if (v->kind == Node::Kind::kRespField) {
       auto n = std::make_shared<Node>();
       n->kind = Node::Kind::kRespField;
       n->site = v->site;
-      n->path = v->path + "[*]";
+      n->text = v->text + "[*]";
       n->origin = origin;
-      n->parts = {v};
+      n->from = v;
       return n;
     }
     if (v->kind == Node::Kind::kResp) return v;
@@ -215,13 +250,13 @@ class Interpreter {
   }
 
   ValuePtr call_ref(std::string_view ref, std::vector<ValuePtr> args, std::size_t depth,
-                    std::vector<std::string>& stack, SliceEntry origin) {
-    const Method* callee = program_.find_method(ref);
-    if (callee == nullptr) {
+                    std::vector<const Method*>& stack, Origin origin) {
+    const auto callee = methods_by_name_.find(ref);
+    if (callee == methods_by_name_.end()) {
       log_warn("analysis") << "unresolved method reference " << ref;
       return make_unknown(origin);
     }
-    return interpret(*callee, std::move(args), depth + 1, stack);
+    return interpret(*callee->second, std::move(args), depth + 1, stack);
   }
 
   void merge_builder_field(std::vector<BuilderField>& existing,
@@ -231,26 +266,28 @@ class Interpreter {
 
   const Program& program_;
   AnalysisOptions options_;
+  std::unordered_map<std::string_view, const Method*> methods_by_name_;
   std::map<std::string, ValuePtr> intent_map_;
   bool intent_changed_ = false;
-  std::map<std::string, SendSite> sites_;
-  std::vector<std::string> site_order_;
-  std::set<std::string> methods_seen_;
+  std::map<Origin, SendSite, OriginLess> sites_;
+  std::vector<Origin> site_order_;
+  std::vector<bool> methods_seen_;  // parallel to program_.methods
   AnalysisReport report_;
 };
 
 ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args,
-                                std::size_t depth, std::vector<std::string>& stack) {
-  methods_seen_.insert(method.name);
-  const SliceEntry entry_origin = here(method, 0);
+                                std::size_t depth, std::vector<const Method*>& stack) {
+  methods_seen_[static_cast<std::size_t>(&method - program_.methods.data())] = true;
+  const Origin entry_origin = here(method, 0);
   if (depth > options_.max_call_depth) return make_unknown(entry_origin);
-  if (std::find(stack.begin(), stack.end(), method.name) != stack.end()) {
+  if (std::find(stack.begin(), stack.end(), &method) != stack.end()) {
     return make_unknown(entry_origin);  // recursion: give up on this path
   }
-  stack.push_back(method.name);
+  stack.push_back(&method);
 
+  // Every register starts as its own Unknown; it is made on first read, so
+  // registers the method only writes cost nothing.
   std::vector<ValuePtr> regs(static_cast<std::size_t>(method.reg_count));
-  for (std::size_t i = 0; i < regs.size(); ++i) regs[i] = make_unknown(entry_origin);
   for (std::size_t i = 0; i < args.size() && i < static_cast<std::size_t>(method.param_count);
        ++i) {
     regs[i] = std::move(args[i]);
@@ -262,24 +299,30 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
   for (std::size_t pc = 0; pc < method.code.size(); ++pc) {
     const Instruction& instr = method.code[pc];
     ++report_.instructions_interpreted;
-    const SliceEntry origin = here(method, pc);
-    const auto reg = [&](Reg r) -> ValuePtr& { return regs[static_cast<std::size_t>(r)]; };
+    const Origin origin = here(method, pc);
+    const auto reg = [&](Reg r) -> ValuePtr& {
+      ValuePtr& v = regs[static_cast<std::size_t>(r)];
+      if (!v) v = make_unknown(entry_origin);
+      return v;
+    };
+    // Write-only access: skips the read's Unknown.
+    const auto def = [&](Reg r) -> ValuePtr& { return regs[static_cast<std::size_t>(r)]; };
 
     switch (instr.op) {
       case OpCode::kConst:
-        reg(instr.dst) = make_const(instr.s, origin);
+        def(instr.dst) = make_const(instr.s, origin);
         break;
       case OpCode::kEnv:
-        reg(instr.dst) = make_env(instr.s, origin);
+        def(instr.dst) = make_env(instr.s, origin);
         break;
       case OpCode::kMove: {
         const ValuePtr src = reg(instr.a);
         if (src->kind == Node::Kind::kObject && !options_.alias_analysis) {
           // Without alias analysis a move is an untracked copy: subsequent
           // writes through the original are lost to this reference.
-          reg(instr.dst) = copy_object(src, origin);
+          def(instr.dst) = copy_object(src, origin);
         } else {
-          reg(instr.dst) = src;
+          def(instr.dst) = src;
         }
         break;
       }
@@ -287,6 +330,12 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
         auto n = std::make_shared<Node>();
         n->kind = Node::Kind::kConcat;
         n->origin = origin;
+        const ValuePtr& a = reg(instr.a);
+        const ValuePtr& b = reg(instr.b);
+        const auto width = [](const ValuePtr& v) {
+          return v->kind == Node::Kind::kConcat ? v->parts.size() : std::size_t{1};
+        };
+        n->parts.reserve(width(a) + width(b));
         const auto flatten = [&n](const ValuePtr& v) {
           if (v->kind == Node::Kind::kConcat) {
             n->parts.insert(n->parts.end(), v->parts.begin(), v->parts.end());
@@ -294,32 +343,32 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
             n->parts.push_back(v);
           }
         };
-        flatten(reg(instr.a));
-        flatten(reg(instr.b));
-        reg(instr.dst) = std::move(n);
+        flatten(a);
+        flatten(b);
+        def(instr.dst) = std::move(n);
         break;
       }
       case OpCode::kNewObject:
-        reg(instr.dst) = make_object(instr.s, /*is_builder=*/false, origin);
+        def(instr.dst) = make_object(instr.s, /*is_builder=*/false, origin);
         break;
       case OpCode::kGetField: {
         const ValuePtr obj = reg(instr.a);
         if (obj->kind == Node::Kind::kObject) {
           const auto it = obj->object->fields.find(instr.s);
-          reg(instr.dst) = (it != obj->object->fields.end()) ? it->second : make_unknown(origin);
+          def(instr.dst) = (it != obj->object->fields.end()) ? it->second : make_unknown(origin);
         } else if (obj->kind == Node::Kind::kResp || obj->kind == Node::Kind::kRespField) {
           // Field access on JSON data behaves like json_get.
           auto n = std::make_shared<Node>();
           n->kind = Node::Kind::kRespField;
           n->site = obj->site;
-          n->path = obj->kind == Node::Kind::kResp ? instr.s : obj->path + "." + instr.s;
+          n->text = obj->kind == Node::Kind::kResp ? instr.s : obj->text + "." + instr.s;
           n->origin = origin;
-          n->parts = {obj};
+          n->from = obj;
           const auto site = sites_.find(obj->site);
-          if (site != sites_.end()) site->second.response_paths.insert(n->path);
-          reg(instr.dst) = std::move(n);
+          if (site != sites_.end()) site->second.response_paths.push_back(n->text);
+          def(instr.dst) = std::move(n);
         } else {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
         }
         break;
       }
@@ -332,7 +381,7 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
         std::vector<ValuePtr> call_args;
         call_args.reserve(instr.args.size());
         for (Reg r : instr.args) call_args.push_back(reg(r));
-        reg(instr.dst) = call_ref(instr.s, std::move(call_args), depth, stack, origin);
+        def(instr.dst) = call_ref(instr.s, std::move(call_args), depth, stack, origin);
         break;
       }
       case OpCode::kIntentPut: {
@@ -347,40 +396,40 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
       }
       case OpCode::kIntentGet: {
         if (!options_.intent_support) {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
           break;
         }
         const auto it = intent_map_.find(instr.s);
-        reg(instr.dst) = (it != intent_map_.end()) ? it->second : make_unknown(origin);
+        def(instr.dst) = (it != intent_map_.end()) ? it->second : make_unknown(origin);
         break;
       }
       case OpCode::kRxMap: {
         if (!options_.rx_support) {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
           break;
         }
-        reg(instr.dst) = call_ref(instr.s, {reg(instr.a)}, depth, stack, origin);
+        def(instr.dst) = call_ref(instr.s, {reg(instr.a)}, depth, stack, origin);
         break;
       }
       case OpCode::kRxFlatMap: {
         if (!options_.rx_support) {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
           break;
         }
-        reg(instr.dst) =
+        def(instr.dst) =
             call_ref(instr.s, {rx_element_of(reg(instr.a), origin)}, depth, stack, origin);
         break;
       }
       case OpCode::kRxDefer: {
         if (!options_.rx_support) {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
           break;
         }
-        reg(instr.dst) = call_ref(instr.s, {}, depth, stack, origin);
+        def(instr.dst) = call_ref(instr.s, {}, depth, stack, origin);
         break;
       }
       case OpCode::kHttpNew:
-        reg(instr.dst) = make_object("HttpRequest", /*is_builder=*/true, origin);
+        def(instr.dst) = make_object("HttpRequest", /*is_builder=*/true, origin);
         break;
       case OpCode::kHttpMethod:
       case OpCode::kHttpUrl:
@@ -394,7 +443,7 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
           break;
         }
         BuilderData& builder = *obj->object->builder;
-        builder.op_origins.insert(origin);
+        builder.op_origins.push_back(origin);
         switch (instr.op) {
           case OpCode::kHttpMethod:
             builder.verb = instr.s;
@@ -420,15 +469,15 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
         const ValuePtr obj = reg(instr.a);
         if (obj->kind != Node::Kind::kObject || !obj->object->builder) {
           log_warn("analysis") << method.name << ":" << pc << ": send on a non-builder value";
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
           break;
         }
         record_send(method, pc, instr, *obj->object);
         auto n = std::make_shared<Node>();
         n->kind = Node::Kind::kResp;
-        n->site = method.name + ":" + std::to_string(pc);
+        n->site = origin;
         n->origin = origin;
-        reg(instr.dst) = std::move(n);
+        def(instr.dst) = std::move(n);
         break;
       }
       case OpCode::kJsonGet: {
@@ -437,14 +486,14 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
           auto n = std::make_shared<Node>();
           n->kind = Node::Kind::kRespField;
           n->site = src->site;
-          n->path = src->kind == Node::Kind::kResp ? instr.s : src->path + "." + instr.s;
+          n->text = src->kind == Node::Kind::kResp ? instr.s : src->text + "." + instr.s;
           n->origin = origin;
-          n->parts = {src};
+          n->from = src;
           const auto site = sites_.find(src->site);
-          if (site != sites_.end()) site->second.response_paths.insert(n->path);
-          reg(instr.dst) = std::move(n);
+          if (site != sites_.end()) site->second.response_paths.push_back(n->text);
+          def(instr.dst) = std::move(n);
         } else {
-          reg(instr.dst) = make_unknown(origin);
+          def(instr.dst) = make_unknown(origin);
         }
         break;
       }
@@ -479,7 +528,7 @@ ValuePtr Interpreter::interpret(const Method& method, std::vector<ValuePtr> args
           }
         }
         if (!literal.empty()) n->parts.push_back(make_const(literal, origin));
-        reg(instr.dst) = std::move(n);
+        def(instr.dst) = std::move(n);
         break;
       }
       case OpCode::kReturn: {
@@ -523,13 +572,12 @@ void Interpreter::merge_builder_field(std::vector<BuilderField>& existing,
 
 void Interpreter::record_send(const Method& method, std::size_t pc, const Instruction& instr,
                               const ObjectData& builder_obj) {
-  const std::string key = method.name + ":" + std::to_string(pc);
+  const Origin key = here(method, pc);
   const BuilderData& incoming = *builder_obj.builder;
 
   auto it = sites_.find(key);
   if (it == sites_.end()) {
     SendSite site;
-    site.key = key;
     site.label = instr.s;
     site.body_kind = instr.s2;
     site.builder = incoming;
@@ -538,18 +586,17 @@ void Interpreter::record_send(const Method& method, std::size_t pc, const Instru
   } else {
     SendSite& site = it->second;
     if (!values_equal(site.builder.url, incoming.url)) {
-      site.builder.url = make_unknown(here(method, pc));
+      site.builder.url = make_unknown(key);
     }
     merge_builder_field(site.builder.query, incoming.query);
     merge_builder_field(site.builder.headers, incoming.headers);
     merge_builder_field(site.builder.body, incoming.body);
-    site.builder.op_origins.insert(incoming.op_origins.begin(), incoming.op_origins.end());
   }
 
   // Backward slice: every instruction whose value contributed to the request.
   SendSite& site = it->second;
-  site.slice.insert(here(method, pc));
-  site.slice.insert(incoming.op_origins.begin(), incoming.op_origins.end());
+  site.slice.push_back(key);
+  site.slice.insert(site.slice.end(), incoming.op_origins.begin(), incoming.op_origins.end());
   collect_origins(incoming.url, site.slice);
   for (const auto* group : {&incoming.query, &incoming.headers, &incoming.body}) {
     for (const BuilderField& f : *group) collect_origins(f.value, site.slice);
@@ -559,20 +606,31 @@ void Interpreter::record_send(const Method& method, std::size_t pc, const Instru
 // --- signature construction -------------------------------------------------------------
 
 struct PendingEdge {
-  std::string pred_site;
-  std::string path;
-  std::string succ_site;
+  Origin pred_site;
+  const std::string* path;  // the RespField node's path (the nodes outlive finish)
+  Origin succ_site;
   std::string hole;
 };
 
 class SignatureBuilder {
  public:
   SignatureBuilder(const Program& program, AnalysisReport& report)
-      : program_(program), report_(report) {}
+      : report_(report), env_prefix_("env." + program.app + ".") {}
 
-  FieldTemplate to_template(const ValuePtr& value, const std::string& site_key) {
+  // Starts lowering the values of one send site: its run-time holes are
+  // named after the site's key.
+  void begin_site(const Origin& site) {
+    site_ = site;
+    digest_input_.clear();
+    append_site_key(digest_input_, site);
+    runtime_prefix_ = "rt.";
+    append_short_digest(runtime_prefix_, digest_input_, 8);
+    runtime_prefix_ += '.';
+  }
+
+  FieldTemplate to_template(const ValuePtr& value) {
     FieldTemplate t;
-    append_value(t, value, site_key);
+    append_value(t, value);
     return t;
   }
 
@@ -615,12 +673,12 @@ class SignatureBuilder {
     if (path.segments().empty()) path.append_literal("/");
   }
 
-  std::vector<PendingEdge>& pending_edges() { return pending_edges_; }
+  const std::vector<PendingEdge>& pending_edges() const { return pending_edges_; }
 
  private:
-  void append_value(FieldTemplate& t, const ValuePtr& value, const std::string& site_key) {
+  void append_value(FieldTemplate& t, const ValuePtr& value) {
     if (!value) {
-      t.append_hole(fresh_runtime_hole(site_key));
+      t.append_hole(fresh_runtime_hole());
       return;
     }
     switch (value->kind) {
@@ -628,33 +686,41 @@ class SignatureBuilder {
         t.append_literal(value->text);
         break;
       case Node::Kind::kEnv:
-        t.append_hole("env." + program_.app + "." + value->text);
+        t.append_hole(env_prefix_ + value->text);
         break;
       case Node::Kind::kConcat:
-        for (const ValuePtr& part : value->parts) append_value(t, part, site_key);
+        for (const ValuePtr& part : value->parts) append_value(t, part);
         break;
       case Node::Kind::kRespField: {
-        const std::string hole =
-            "dep." + short_digest(value->site + "|" + value->path, 10);
+        // "dep." + short_digest("<site key>|<path>", 10)
+        digest_input_.clear();
+        append_site_key(digest_input_, value->site);
+        digest_input_ += '|';
+        digest_input_ += value->text;
+        std::string hole = "dep.";
+        append_short_digest(hole, digest_input_, 10);
         t.append_hole(hole);
-        pending_edges_.push_back({value->site, value->path, site_key, hole});
+        pending_edges_.push_back({value->site, &value->text, site_, std::move(hole)});
         break;
       }
       case Node::Kind::kResp:
       case Node::Kind::kObject:
       case Node::Kind::kUnknown:
-        t.append_hole(fresh_runtime_hole(site_key));
+        t.append_hole(fresh_runtime_hole());
         break;
     }
   }
 
-  std::string fresh_runtime_hole(const std::string& site_key) {
+  std::string fresh_runtime_hole() {
     ++report_.unresolved_values;
-    return "rt." + short_digest(site_key, 8) + "." + std::to_string(runtime_counter_++);
+    return runtime_prefix_ + std::to_string(runtime_counter_++);
   }
 
-  const Program& program_;
   AnalysisReport& report_;
+  const std::string env_prefix_;  // "env.<app>."
+  Origin site_;                   // the site being lowered
+  std::string runtime_prefix_;    // "rt.<site digest>."
+  std::string digest_input_;      // reused buffer for hole-name digests
   std::vector<PendingEdge> pending_edges_;
   std::size_t runtime_counter_ = 0;
 };
@@ -662,16 +728,17 @@ class SignatureBuilder {
 AnalysisResult Interpreter::finish() {
   AnalysisResult result;
   SignatureBuilder builder(program_, report_);
-  std::map<std::string, std::string> site_to_sig;  // site key -> signature id
+  std::map<Origin, const TransactionSignature*, OriginLess> site_to_sig;
 
-  for (const std::string& key : site_order_) {
-    const SendSite& site = sites_.at(key);
+  for (const Origin& key : site_order_) {
+    SendSite& site = sites_.find(key)->second;
+    builder.begin_site(key);
     TransactionSignature sig;
     sig.app = program_.app;
     sig.label = site.label;
     sig.request.method = site.builder.verb;
 
-    const FieldTemplate url = builder.to_template(site.builder.url, key);
+    const FieldTemplate url = builder.to_template(site.builder.url);
     SignatureBuilder::split_url(url, sig.request.scheme, sig.request.host, sig.request.path);
 
     const auto lower_fields = [&](const std::vector<BuilderField>& fields,
@@ -679,7 +746,7 @@ AnalysisResult Interpreter::finish() {
       std::vector<RequestField> out;
       out.reserve(fields.size());
       for (const BuilderField& f : fields) {
-        out.push_back({location, f.name, builder.to_template(f.value, key), f.optional});
+        out.push_back({location, f.name, builder.to_template(f.value), f.optional});
       }
       return out;
     };
@@ -690,35 +757,42 @@ AnalysisResult Interpreter::finish() {
 
     sig.response.body_kind =
         site.body_kind == "opaque" ? ResponseBodyKind::kOpaque : ResponseBodyKind::kJson;
-    // Leaf paths only: drop paths that are proper prefixes of other paths.
-    for (const std::string& path : site.response_paths) {
-      const bool is_prefix = std::any_of(
-          site.response_paths.begin(), site.response_paths.end(), [&](const std::string& other) {
-            return other.size() > path.size() && other.compare(0, path.size(), path) == 0;
-          });
-      if (!is_prefix) sig.response.fields.push_back({path, ".*"});
+    // Leaf paths only: drop paths that are proper prefixes of other paths. In
+    // sorted order the paths a path prefixes follow it directly, so checking
+    // the next one suffices.
+    std::vector<std::string>& paths = site.response_paths;
+    std::sort(paths.begin(), paths.end());
+    paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+    for (auto it = paths.begin(); it != paths.end(); ++it) {
+      const auto next = std::next(it);
+      if (next == paths.end() || !next->starts_with(*it)) sig.response.fields.push_back({*it, ".*"});
     }
 
     sig.finalize();
-    if (result.signatures.find(sig.id) == nullptr) {
-      result.signatures.add(sig);
-      result.slices[sig.label].insert(site.slice.begin(), site.slice.end());
-    } else {
-      // Two send sites with identical behaviour collapse into one signature.
-      result.slices[result.signatures.get(sig.id).label].insert(site.slice.begin(),
-                                                                site.slice.end());
-    }
-    site_to_sig[key] = sig.id;
+    // Two send sites with identical behaviour collapse into one signature.
+    const TransactionSignature* stored = result.signatures.find(sig.id);
+    if (stored == nullptr) stored = &result.signatures.add(std::move(sig));
+    // In SliceEntry order, so every entry is inserted at the set's end.
+    std::sort(site.slice.begin(), site.slice.end(), [](const Origin& a, const Origin& b) {
+      if (a.method == b.method) return a.pc < b.pc;
+      return *a.method < *b.method;
+    });
+    site.slice.erase(std::unique(site.slice.begin(), site.slice.end()), site.slice.end());
+    std::set<SliceEntry>& slice = result.slices[stored->label];
+    for (const Origin& o : site.slice) slice.insert(slice.end(), SliceEntry{*o.method, o.pc});
+    site_to_sig.emplace(key, stored);
   }
 
-  std::set<std::string> edge_dedup;
+  // (pred, succ, hole, path): the short hole name tells most keys apart first.
+  std::set<std::tuple<const TransactionSignature*, const TransactionSignature*, std::string_view,
+                      std::string_view>>
+      edge_dedup;
   for (const PendingEdge& pe : builder.pending_edges()) {
     const auto pred = site_to_sig.find(pe.pred_site);
     const auto succ = site_to_sig.find(pe.succ_site);
     if (pred == site_to_sig.end() || succ == site_to_sig.end()) continue;
-    const std::string dedup_key = pred->second + "|" + pe.path + "|" + succ->second + "|" + pe.hole;
-    if (!edge_dedup.insert(dedup_key).second) continue;
-    result.signatures.add_edge({pred->second, pe.path, succ->second, pe.hole});
+    if (!edge_dedup.emplace(pred->second, succ->second, pe.hole, *pe.path).second) continue;
+    result.signatures.add_edge({pred->second->id, *pe.path, succ->second->id, pe.hole});
   }
 
   report_.unique_signatures = result.signatures.size();

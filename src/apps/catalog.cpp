@@ -1,6 +1,7 @@
 #include "apps/catalog.hpp"
 
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -117,7 +118,7 @@ AppSpec build_app(const Params& p) {
     ep.produces.push_back({"data.session.token", ProducesSpec::Kind::kId});
     ep.json_padding = kilobytes(2);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   // feed: the start-page item list.
   {
@@ -141,7 +142,7 @@ AppSpec build_app(const Params& p) {
                            "https://" + p.img_host + "/thumb?cid="});
     ep.json_padding = p.feed_padding;
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   auto& feed = app.endpoints.back();
   const auto feed_item_fields = add_item_fields(feed, "data.items", p.detail_deps, "f");
@@ -159,7 +160,7 @@ AppSpec build_app(const Params& p) {
     ep.opaque = true;
     ep.opaque_size = p.thumb_size;
     ep.proc_delay = milliseconds(3);
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   // item detail: the main interaction (heap-chained deps, conditional field).
   {
@@ -190,7 +191,7 @@ AppSpec build_app(const Params& p) {
     ep.list_count = p.detail_photos;
     ep.json_padding = p.detail_padding;
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   app.env_defaults["credit_id"] = "cc_none";
   // related items: issued alongside detail, also keyed by the feed item id.
@@ -210,7 +211,7 @@ AppSpec build_app(const Params& p) {
     ep.list_count = 10;
     ep.json_padding = kilobytes(4);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   // detail photos: large product images on the detail page.
   {
@@ -226,7 +227,7 @@ AppSpec build_app(const Params& p) {
     ep.opaque = true;
     ep.opaque_size = p.photo_size;
     ep.proc_delay = milliseconds(3);
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   // reviews: a further serial round trip on the detail page.
   {
@@ -245,7 +246,7 @@ AppSpec build_app(const Params& p) {
     ep.list_count = 20;
     ep.json_padding = kilobytes(6);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   // merchant page chain (Fig. 2/3c): name -> merchant -> ratings/items/image.
   {
@@ -265,7 +266,7 @@ AppSpec build_app(const Params& p) {
     ep.list_count = 12;
     ep.json_padding = kilobytes(5);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   {
     EndpointSpec ep;
@@ -280,7 +281,7 @@ AppSpec build_app(const Params& p) {
     ep.produces.push_back({"data.ratings.avg", ProducesSpec::Kind::kNumber});
     ep.json_padding = kilobytes(3);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   {
     EndpointSpec ep;
@@ -295,7 +296,7 @@ AppSpec build_app(const Params& p) {
     ep.opaque = true;
     ep.opaque_size = p.thumb_size;
     ep.proc_delay = milliseconds(3);
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   {
     EndpointSpec ep;
@@ -312,7 +313,7 @@ AppSpec build_app(const Params& p) {
     ep.produces.push_back({"data.item.photo_id", ProducesSpec::Kind::kId});
     ep.json_padding = kilobytes(6);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
   {
     EndpointSpec ep;
@@ -327,7 +328,7 @@ AppSpec build_app(const Params& p) {
     ep.opaque = true;
     ep.opaque_size = p.photo_size;
     ep.proc_delay = milliseconds(3);
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
 
   // add-to-cart: a side-effectful request carrying a fresh anti-replay nonce.
@@ -349,7 +350,7 @@ AppSpec build_app(const Params& p) {
     ep.produces.push_back({"data.cart.count", ProducesSpec::Kind::kNumber});
     ep.json_padding = 256;
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
 
   // --- UI tab families -------------------------------------------------------
@@ -366,7 +367,7 @@ AppSpec build_app(const Params& p) {
     const auto paths = add_scalar_fields(root, p.tab_succ_deps, "k");
     root.json_padding = kilobytes(4);
     root.proc_delay = p.server_proc;
-    app.endpoints.push_back(root);
+    app.endpoints.push_back(std::move(root));
 
     EndpointSpec list;
     list.label = "tab" + id + "_content";
@@ -384,7 +385,7 @@ AppSpec build_app(const Params& p) {
     list.produces.push_back({"data.content.rows", ProducesSpec::Kind::kNumber});
     list.json_padding = kilobytes(8);
     list.proc_delay = p.server_proc;
-    app.endpoints.push_back(list);
+    app.endpoints.push_back(std::move(list));
   }
 
   // --- deep background chain (Table 3 max len) ---------------------------------
@@ -400,7 +401,7 @@ AppSpec build_app(const Params& p) {
     add_scalar_fields(root, p.chain_deps, "c");
     root.json_padding = kilobytes(2);
     root.proc_delay = p.server_proc;
-    app.endpoints.push_back(root);
+    app.endpoints.push_back(std::move(root));
   }
   for (int link = 1; link <= p.chain_length; ++link) {
     const std::string pred = "sync" + std::to_string(link - 1);
@@ -421,7 +422,7 @@ AppSpec build_app(const Params& p) {
     add_scalar_fields(ep, p.chain_deps, "c");
     ep.json_padding = kilobytes(2);
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
 
   // --- padding successors (bulk of the dependency-edge count) -------------------
@@ -450,7 +451,7 @@ AppSpec build_app(const Params& p) {
       ep.produces.push_back({"data.ok", ProducesSpec::Kind::kNumber});
       ep.json_padding = kilobytes(1);
       ep.proc_delay = p.server_proc;
-      app.endpoints.push_back(ep);
+      app.endpoints.push_back(std::move(ep));
     }
   }
 
@@ -467,7 +468,7 @@ AppSpec build_app(const Params& p) {
     ep.produces.push_back({"data.ack", ProducesSpec::Kind::kNumber});
     ep.json_padding = 256;
     ep.proc_delay = p.server_proc;
-    app.endpoints.push_back(ep);
+    app.endpoints.push_back(std::move(ep));
   }
 
   // --- interactions ---------------------------------------------------------------
@@ -496,7 +497,7 @@ AppSpec build_app(const Params& p) {
       launch.waves.push_back({{"detail", false, 0}});
       launch.waves.push_back({{"reviews", false, 0}});
     }
-    app.interactions.push_back(launch);
+    app.interactions.push_back(std::move(launch));
   }
   {
     Interaction main;
@@ -511,7 +512,7 @@ AppSpec build_app(const Params& p) {
         {{"photo", true, 0}},
         {{"reviews", false, 0}},
     };
-    app.interactions.push_back(main);
+    app.interactions.push_back(std::move(main));
   }
   if (p.merchant_ui) {
     Interaction merchant;
@@ -527,7 +528,7 @@ AppSpec build_app(const Params& p) {
         {{"merchant_item", true, 4}},
         {{"merchant_item_photo", false, 0}},
     };
-    app.interactions.push_back(merchant);
+    app.interactions.push_back(std::move(merchant));
   }
   // The last `tabs_hidden` tab families sit behind flows Monkey cannot
   // drive (login walls, deep settings): no interaction reaches them, so only
@@ -541,7 +542,7 @@ AppSpec build_app(const Params& p) {
     cart.pre_delay = p.main_pre;
     cart.render_delay = milliseconds(80);
     cart.waves = {{{"cart_add", false, 0}}};
-    app.interactions.push_back(cart);
+    app.interactions.push_back(std::move(cart));
   }
   for (int t = 0; t < p.tabs - p.tabs_hidden; ++t) {
     Interaction tab;
@@ -555,7 +556,7 @@ AppSpec build_app(const Params& p) {
         {{"tab" + std::to_string(t), false, 0}},
         {{"tab" + std::to_string(t) + "_content", false, 0}},
     };
-    app.interactions.push_back(tab);
+    app.interactions.push_back(std::move(tab));
   }
   for (int u = 0; u < p.ui_screens; ++u) {
     // Simple screens (settings, notifications, ...) backed by two of the
@@ -569,7 +570,7 @@ AppSpec build_app(const Params& p) {
     screen.render_delay = p.main_render;
     screen.waves = {{{"bg" + std::to_string(2 * u), false, 0},
                      {"bg" + std::to_string(2 * u + 1), false, 0}}};
-    app.interactions.push_back(screen);
+    app.interactions.push_back(std::move(screen));
   }
   {
     // Periodic background sync: walks part of the deep chain; never fired by
@@ -587,7 +588,7 @@ AppSpec build_app(const Params& p) {
     for (int link = 1; link <= visible_depth; ++link) {
       sync.waves.push_back({{"sync" + std::to_string(link), false, 0}});
     }
-    app.interactions.push_back(sync);
+    app.interactions.push_back(std::move(sync));
   }
 
   app.validate();

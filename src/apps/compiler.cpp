@@ -1,6 +1,8 @@
 #include "apps/compiler.hpp"
 
 #include <map>
+#include <string_view>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -71,6 +73,18 @@ ir::Program compile_app(const AppSpec& spec) {
   Program program;
   program.app = spec.package;
 
+  // Successor lists in one pass (AppSpec::successors_of rescans every
+  // endpoint per call): each endpoint once per predecessor it reads from, in
+  // endpoint order.
+  std::map<std::string_view, std::vector<const EndpointSpec*>> successors;
+  for (const EndpointSpec& ep : spec.endpoints) {
+    for (const FieldSpec& f : ep.fields) {
+      if (f.value.kind != ValueSpec::Kind::kDep) continue;
+      std::vector<const EndpointSpec*>& list = successors[f.value.dep_endpoint];
+      if (list.empty() || list.back() != &ep) list.push_back(&ep);
+    }
+  }
+
   for (const EndpointSpec& ep : spec.endpoints) {
     // The builder itself: one parameter per dependency field.
     const auto deps = ep.dep_fields();
@@ -97,11 +111,14 @@ ir::Program compile_app(const AppSpec& spec) {
       return dst;
     };
 
-    if (!ep.opaque) {
-      for (const EndpointSpec* succ : spec.successors_of(ep.label)) {
+    const auto succs = successors.find(ep.label);
+    if (!ep.opaque && succs != successors.end()) {
+      for (const EndpointSpec* succ : succs->second) {
         std::vector<const FieldSpec*> fields_from_here;
-        for (const FieldSpec* f : succ->dep_fields()) {
-          if (f->value.dep_endpoint == ep.label) fields_from_here.push_back(f);
+        for (const FieldSpec& f : succ->fields) {
+          if (f.value.kind == ValueSpec::Kind::kDep && f.value.dep_endpoint == ep.label) {
+            fields_from_here.push_back(&f);
+          }
         }
         switch (succ->route) {
           case DepRoute::kDirect: {

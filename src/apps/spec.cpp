@@ -100,9 +100,10 @@ std::vector<const EndpointSpec*> AppSpec::roots() const {
 }
 
 void AppSpec::validate() const {
-  std::set<std::string> labels;
+  // Label index, built once: find_endpoint scans every endpoint.
+  std::map<std::string_view, const EndpointSpec*> by_label;
   for (const EndpointSpec& ep : endpoints) {
-    if (!labels.insert(ep.label).second) {
+    if (!by_label.emplace(ep.label, &ep).second) {
       throw InvalidArgumentError("AppSpec " + name + ": duplicate endpoint label " + ep.label);
     }
     if (ep.path.empty() || ep.path[0] != '/') {
@@ -114,21 +115,26 @@ void AppSpec::validate() const {
                                  " needs host and host_env");
     }
   }
+  // Paths each predecessor produces, indexed on first use: one successor
+  // can read hundreds of them.
+  std::map<const EndpointSpec*, std::set<std::string_view>> produced;
   for (const EndpointSpec& ep : endpoints) {
     std::set<std::string> preds;
     for (const FieldSpec* f : ep.dep_fields()) {
-      if (find_endpoint(f->value.dep_endpoint) == nullptr) {
+      const auto found = by_label.find(f->value.dep_endpoint);
+      if (found == by_label.end()) {
         throw InvalidArgumentError("AppSpec " + name + ": endpoint " + ep.label +
                                    " depends on unknown endpoint " + f->value.dep_endpoint);
       }
-      json::Path(f->value.dep_path);  // validates syntax
+      json::Path::validate(f->value.dep_path);
       preds.insert(f->value.dep_endpoint);
       // The predecessor must actually produce the referenced path.
-      const EndpointSpec& pred = endpoint(f->value.dep_endpoint);
-      const bool produced = std::any_of(
-          pred.produces.begin(), pred.produces.end(),
-          [&](const ProducesSpec& p) { return p.path == f->value.dep_path; });
-      if (!produced) {
+      const EndpointSpec& pred = *found->second;
+      std::set<std::string_view>& paths = produced[&pred];
+      if (paths.empty()) {
+        for (const ProducesSpec& p : pred.produces) paths.insert(p.path);
+      }
+      if (!paths.contains(f->value.dep_path)) {
         throw InvalidArgumentError("AppSpec " + name + ": " + ep.label + " reads path '" +
                                    f->value.dep_path + "' that " + pred.label +
                                    " does not produce");
@@ -154,7 +160,7 @@ void AppSpec::validate() const {
     }
     for (const auto& wave : it.waves) {
       for (const WaveStep& step : wave) {
-        if (find_endpoint(step.endpoint) == nullptr) {
+        if (!by_label.contains(step.endpoint)) {
           throw InvalidArgumentError("AppSpec " + name + ": interaction " + it.name +
                                      " references unknown endpoint " + step.endpoint);
         }

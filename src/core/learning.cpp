@@ -96,8 +96,9 @@ http::Request RequestInstance::materialize() const {
 // --- LearningEngine --------------------------------------------------------------
 
 LearningEngine::LearningEngine(const SignatureSet* signatures,
-                               const std::map<std::string, std::string>* host_apps)
-    : signatures_(signatures), host_apps_(host_apps) {
+                               const std::map<std::string, std::string>* host_apps,
+                               DispatchCounters* counters)
+    : signatures_(signatures), host_apps_(host_apps), counters_(counters) {
   if (signatures == nullptr) throw InvalidArgumentError("LearningEngine: null signature set");
 }
 
@@ -114,7 +115,7 @@ std::vector<ReadyPrefetch> LearningEngine::observe(const http::Request& request,
     const auto it = host_apps_->find(request.uri.host);
     if (it != host_apps_->end()) app_hint = it->second;
   }
-  const TransactionSignature* sig = signatures_->match_request(request, app_hint);
+  const TransactionSignature* sig = signatures_->match_request(request, app_hint, counters_);
   if (sig == nullptr) return ready;
   ++stats_.signature_matches;
 

@@ -109,8 +109,11 @@ class LearningEngine {
  public:
   // `host_apps` (optional, not owned) routes requests to one app's
   // signatures in multi-app deployments; see ProxyConfig::host_apps.
+  // `counters` (optional, not owned) receives the dispatch-index figures of
+  // this engine's signature lookups.
   explicit LearningEngine(const SignatureSet* signatures,
-                          const std::map<std::string, std::string>* host_apps = nullptr);
+                          const std::map<std::string, std::string>* host_apps = nullptr,
+                          DispatchCounters* counters = nullptr);
 
   // Feed one observed transaction through the Fig. 6 flow. Returns the
   // instances that became ready (not yet issued) as a result.
@@ -163,6 +166,7 @@ class LearningEngine {
 
   const SignatureSet* signatures_;
   const std::map<std::string, std::string>* host_apps_;
+  DispatchCounters* counters_;
   std::map<std::string, SignatureState, std::less<>> states_;
   LearningStats stats_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/signature_index.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -80,19 +79,15 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
 
   sig_stats_.bind_registry(registry_);
 
-  // Build the dispatch index now: export callbacks may sample its totals from
-  // a scrape thread, and a lazy build on first match() would race with it.
-  const SignatureIndex& index = signatures_->index();
-  (void)index;
   // Shards sharing a registry each register these callbacks against their own
-  // signature-set copy (last registration wins); a ShardedProxyEngine then
-  // overwrites them with fleet-wide sums.
+  // counters (last registration wins); a ShardedProxyEngine then overwrites
+  // them with fleet-wide sums.
   reg.gauge_callback("appx_sigindex_lookups_total",
-                     [this] { return signatures_->index().totals().lookups; });
+                     [this] { return dispatch_.lookups.load(std::memory_order_relaxed); });
   reg.gauge_callback("appx_sigindex_candidates_total",
-                     [this] { return signatures_->index().totals().candidates; });
+                     [this] { return dispatch_.candidates.load(std::memory_order_relaxed); });
   reg.gauge_callback("appx_sigindex_confirmed_total",
-                     [this] { return signatures_->index().totals().confirmed; });
+                     [this] { return dispatch_.confirmed.load(std::memory_order_relaxed); });
 }
 
 UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
@@ -111,7 +106,7 @@ UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
     slots_.emplace_back();
   }
   Slot& s = slots_[slot];
-  s.state = std::make_unique<UserState>(signatures_, *config_, options_);
+  s.state = std::make_unique<UserState>(signatures_, *config_, options_, &dispatch_);
   s.state->cache.bind_metrics(PrefetchCache::Metrics{
       inst_.evicted_lru, inst_.evicted_expired, inst_.cache_entries, inst_.cache_bytes});
   // Outcome hooks feed the policy value model and the waste accounting. They
@@ -227,7 +222,7 @@ void ProxyEngine::on_request(UserId& user, const http::Request& request, SimTime
   // Record the hit/miss against the signature so the scheduler's hit-rate
   // prioritisation learns which prefetches pay off.
   const TransactionSignature* sig =
-      signatures_->match_request(request, config_->app_for_host(request.uri.host));
+      signatures_->match_request(request, config_->app_for_host(request.uri.host), &dispatch_);
   if (sig != nullptr && signatures_->is_successor(sig->id)) {
     sig_stats_.record_lookup(sig->id, lookup == PrefetchCache::Lookup::kHit);
   }

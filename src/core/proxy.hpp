@@ -115,6 +115,9 @@ class ProxyEngine final : public ProxyLike {
   const obs::MetricsRegistry* metrics() const { return registry_; }
 
   const EngineOptions& options() const { return options_; }
+  // The signature set this engine matches against (not owned).
+  const SignatureSet* signatures() const { return signatures_; }
+  const DispatchCounters& dispatch_counters() const { return dispatch_; }
   const LearningEngine* learning_for(const std::string& user) const;
   const PrefetchCache* cache_for(const std::string& user) const;
   // Users resident in THIS shard. Fleet-wide counts come from the
@@ -124,8 +127,8 @@ class ProxyEngine final : public ProxyLike {
  private:
   struct UserState {
     UserState(const SignatureSet* signatures, const ProxyConfig& config,
-              const EngineOptions& options)
-        : learning(signatures, &config.host_apps),
+              const EngineOptions& options, DispatchCounters* dispatch)
+        : learning(signatures, &config.host_apps, dispatch),
           pacer(policy::BudgetPacer::Options{
               options.policy.enabled ? config.data_budget.value_or(0) : 0,
               options.policy.budget_window, options.policy.hit_byte_refund}),
@@ -220,6 +223,8 @@ class ProxyEngine final : public ProxyLike {
   const SignatureSet* signatures_;
   const ProxyConfig* config_;
   EngineOptions options_;
+  // This engine's signature lookups (the set itself may be shared by shards).
+  DispatchCounters dispatch_;
   std::vector<std::string> ignored_headers_;  // config add_header names
   // Reused cache-key buffer (DESIGN.md §5h): engine events are serialized
   // per instance (external mutex, or per-shard mutex when sharded), so the

@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "core/signature_index.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -19,13 +18,8 @@ ShardedProxyEngine::ShardedProxyEngine(const SignatureSet* signatures,
   if (count == 0) {
     count = std::max(1u, std::thread::hardware_concurrency());
   }
-  // The pattern layer keeps lazy match state (compiled hole shapes, the
-  // regex DFA cache, the dispatch index) mutable-under-const and
-  // unsynchronised; its contract is that concurrent matching on a shared set
-  // is serialised by the caller. Shards match concurrently by design, so
-  // each shard gets its own deep copy of the signature set — lazy caches
-  // warm per shard with zero synchronisation on the match hot path.
-  const std::vector<std::uint8_t> blob = signatures->serialize();
+  // Every shard matches against the caller's set: matching writes nothing in
+  // a built set, so the shards share it without copies or locks.
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     EngineOptions shard_options = options;
@@ -33,29 +27,30 @@ ShardedProxyEngine::ShardedProxyEngine(const SignatureSet* signatures,
     // deterministic because its shard assignment is a pure hash.
     shard_options.seed = options.seed ^ static_cast<std::uint64_t>(i);
     auto shard = std::make_unique<Shard>();
-    shard->signatures = SignatureSet::deserialize(blob);
-    shard->engine = std::make_unique<ProxyEngine>(&shard->signatures, config,
+    shard->engine = std::make_unique<ProxyEngine>(signatures, config,
                                                   std::move(shard_options), &registry_,
                                                   static_cast<std::uint32_t>(i), &sig_model_);
     shards_.push_back(std::move(shard));
   }
   // Each shard's engine registered the sigindex gauge callbacks against its
-  // own set copy (last registration wins); replace them with fleet-wide sums
-  // so /appx/metrics reports dispatch-index totals across all shards. Reads
-  // are unsynchronised snapshots, as they were for the single-shard engine.
-  const auto sum_over_shards = [this](auto field) {
+  // own counters (last registration wins); replace them with fleet-wide sums
+  // so /appx/metrics reports dispatch-index totals across all shards. Each
+  // counter is a relaxed atomic, so a scrape thread may read them any time.
+  const auto sum_over_shards = [this](std::atomic<std::int64_t> DispatchCounters::*field) {
     return [this, field]() {
       std::int64_t total = 0;
-      for (const auto& shard : shards_) total += field(shard->signatures.index().totals());
+      for (const auto& shard : shards_) {
+        total += (shard->engine->dispatch_counters().*field).load(std::memory_order_relaxed);
+      }
       return total;
     };
   };
   registry_.gauge_callback("appx_sigindex_lookups_total",
-                           sum_over_shards([](const auto& t) { return t.lookups; }));
+                           sum_over_shards(&DispatchCounters::lookups));
   registry_.gauge_callback("appx_sigindex_candidates_total",
-                           sum_over_shards([](const auto& t) { return t.candidates; }));
+                           sum_over_shards(&DispatchCounters::candidates));
   registry_.gauge_callback("appx_sigindex_confirmed_total",
-                           sum_over_shards([](const auto& t) { return t.confirmed; }));
+                           sum_over_shards(&DispatchCounters::confirmed));
 }
 
 std::size_t ShardedProxyEngine::shard_index_for(std::string_view user) const {

@@ -7,9 +7,11 @@
 //   * users are assigned to shards by fnv1a(user) % shard_count (stable, so
 //     a UserId's shard never changes);
 //   * each shard is a full ProxyEngine with its own mutex, its own user
-//     slot table, its own deep copy of the signature set (the pattern
-//     layer's lazy match caches are unsynchronised by contract) and a
-//     probability-coin stream seeded seed ^ shard;
+//     slot table, its own dispatch counters and a probability-coin stream
+//     seeded seed ^ shard;
+//   * all shards match against the caller's ONE signature set: a built set
+//     is immutable (compiled hole shapes, a complete dispatch index), so
+//     concurrent matching needs no copy and no lock;
 //   * all shards contribute deltas into ONE shared obs::MetricsRegistry, so
 //     /appx/metrics, stats() aggregation and the prefetch-accounting
 //     invariant (responses + failures + dropped == issued) hold fleet-wide.
@@ -36,8 +38,9 @@ namespace appx::core {
 
 class ShardedProxyEngine final : public ProxyLike {
  public:
-  // `signatures` and `config` must outlive the engine. options.shards == 0
-  // picks hardware_concurrency (min 1). Throws on invalid options.
+  // `signatures` and `config` must outlive the engine; every shard borrows
+  // them. options.shards == 0 picks hardware_concurrency (min 1). Throws on
+  // invalid options.
   ShardedProxyEngine(const SignatureSet* signatures, const ProxyConfig* config,
                      EngineOptions options = {});
 
@@ -95,11 +98,6 @@ class ShardedProxyEngine final : public ProxyLike {
  private:
   struct Shard {
     mutable std::mutex mutex;
-    // Per-shard deep copy of the signature set: the pattern layer's lazy
-    // match caches are unsynchronised, so sharing one set across
-    // concurrently-matching shards would race. Declared before engine (the
-    // engine holds a pointer into it).
-    SignatureSet signatures;
     std::unique_ptr<ProxyEngine> engine;
   };
 

@@ -74,15 +74,17 @@ std::vector<RequestField> deserialize_fields(ByteReader& in) {
 std::string canonical_form(const TransactionSignature& sig) {
   // A deterministic rendering of everything except id/label, used for the
   // stable content hash.
-  std::string out = sig.app;
+  std::string out;
+  out.reserve(1024);
+  out += sig.app;
   out += '\x1f';
   out += sig.request.method;
   out += '\x1f';
-  out += sig.request.scheme.to_display_string();
+  sig.request.scheme.append_display_string(out);
   out += '\x1f';
-  out += sig.request.host.to_display_string();
+  sig.request.host.append_display_string(out);
   out += '\x1f';
-  out += sig.request.path.to_display_string();
+  sig.request.path.append_display_string(out);
   const auto emit_fields = [&out](const std::vector<RequestField>& fields) {
     for (const RequestField& f : fields) {
       out += '\x1e';
@@ -90,7 +92,7 @@ std::string canonical_form(const TransactionSignature& sig) {
       out += ':';
       out += f.name;
       out += '=';
-      out += f.value.to_display_string();
+      f.value.append_display_string(out);
       if (f.optional) out += '?';
     }
   };
@@ -315,7 +317,8 @@ const TransactionSignature& SignatureSet::add(TransactionSignature sig) {
   signatures_.push_back(std::make_unique<TransactionSignature>(std::move(sig)));
   const TransactionSignature& ref = *signatures_.back();
   by_id_.emplace(ref.id, &ref);
-  index_.reset();  // the dispatch index no longer covers every signature
+  if (!index_) index_ = std::make_unique<SignatureIndex>();
+  index_->insert(&ref);
   return ref;
 }
 
@@ -326,7 +329,7 @@ void SignatureSet::add_edge(DependencyEdge edge) {
   if (!by_id_.contains(edge.succ_id)) {
     throw InvalidArgumentError("SignatureSet: edge to unknown signature " + edge.succ_id);
   }
-  json::Path(edge.pred_path);  // validate
+  json::Path::validate(edge.pred_path);
   edges_.push_back(std::move(edge));
 }
 
@@ -436,8 +439,9 @@ std::size_t SignatureSet::max_chain_length() const {
 }
 
 const TransactionSignature* SignatureSet::match_request(const http::Request& request,
-                                                        std::string_view app) const {
-  return index().match(request, app);
+                                                        std::string_view app,
+                                                        DispatchCounters* counters) const {
+  return index().match(request, app, counters);
 }
 
 const TransactionSignature* SignatureSet::match_request_linear(const http::Request& request,
@@ -450,8 +454,8 @@ const TransactionSignature* SignatureSet::match_request_linear(const http::Reque
 }
 
 const SignatureIndex& SignatureSet::index() const {
-  if (!index_) index_ = std::make_unique<SignatureIndex>(signatures_);
-  return *index_;
+  static const SignatureIndex kEmpty;
+  return index_ ? *index_ : kEmpty;
 }
 
 SignatureSet SignatureSet::subset_for_app(std::string_view app) const {

@@ -9,6 +9,8 @@
 // figures, and the entire basis for prefetching.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -132,7 +134,22 @@ struct DependencyEdge {
 
 class SignatureIndex;
 
+// Dispatch-index effectiveness. The index is shared and never written by a
+// lookup, so each caller that wants these figures counts into its own
+// counters (a proxy shard keeps one set). Relaxed atomics: readable from any
+// thread; totals may be mutually skewed by in-flight lookups but each is
+// individually exact.
+struct DispatchCounters {
+  std::atomic<std::int64_t> lookups{0};     // match_request calls
+  std::atomic<std::int64_t> candidates{0};  // signatures surviving the prefilter
+  std::atomic<std::int64_t> confirmed{0};   // lookups that returned a signature
+};
+
 // The complete analysis output for one or more apps: signatures + edges.
+//
+// Every method that changes the set (add, add_edge, absorb) keeps the
+// dispatch index complete, and no const method writes anything, so once
+// built a set may be read and matched against from any number of threads.
 class SignatureSet {
  public:
   SignatureSet();
@@ -173,19 +190,19 @@ class SignatureSet {
 
   // First signature whose templates match the request (paper Fig. 6: "regex
   // matching" identifies the learning target). Signatures of `app` only when
-  // app != "". Dispatches through a lazily (re)built SignatureIndex, so the
-  // cost is near-constant in the set size; results are identical to
-  // match_request_linear.
+  // app != "". Dispatches through the SignatureIndex, so the cost is
+  // near-constant in the set size; results are identical to
+  // match_request_linear. Counts the lookup into `counters` when non-null.
   const TransactionSignature* match_request(const http::Request& request,
-                                            std::string_view app = "") const;
+                                            std::string_view app = "",
+                                            DispatchCounters* counters = nullptr) const;
 
   // Reference implementation: linear scan over all signatures in insertion
   // order. Kept for tests and benchmarks of the dispatch index.
   const TransactionSignature* match_request_linear(const http::Request& request,
                                                    std::string_view app = "") const;
 
-  // The dispatch index over the current signatures (built on first use,
-  // invalidated by add/absorb).
+  // The dispatch index over the current signatures.
   const SignatureIndex& index() const;
 
   // Restrict to one app's signatures (copies; used per-proxy-target).
@@ -203,7 +220,7 @@ class SignatureSet {
   std::vector<std::unique_ptr<TransactionSignature>> signatures_;
   std::map<std::string, const TransactionSignature*, std::less<>> by_id_;
   std::vector<DependencyEdge> edges_;
-  mutable std::unique_ptr<SignatureIndex> index_;  // null until first lookup
+  std::unique_ptr<SignatureIndex> index_;  // null until the first add
 };
 
 // Composite key identifying a field within a request: "<location>:<name>".

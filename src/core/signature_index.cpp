@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pattern/regex.hpp"
-#include "util/error.hpp"
 
 namespace appx::core {
 
@@ -13,16 +12,14 @@ namespace {
 // run, extended into the first hole's shape via Regex::required_prefix.
 std::string template_prefix(const FieldTemplate& t) {
   std::string prefix;
-  for (const FieldTemplate::Segment& seg : t.segments()) {
+  for (std::size_t i = 0; i < t.segments().size(); ++i) {
+    const FieldTemplate::Segment& seg = t.segments()[i];
     if (!seg.is_hole) {
       prefix += seg.text;  // adjacent literals are merged, but be permissive
       continue;
     }
-    try {
-      prefix += pattern::Regex(seg.shape).required_prefix();
-    } catch (const ParseError&) {
-      // An unparsable shape fails every match later; no prefix to add.
-    }
+    // A ".*" hole (no compiled shape) requires no prefix.
+    if (const pattern::Regex* shape = t.shape_regex(i)) prefix += shape->required_prefix();
     break;  // beyond the first hole the offset is no longer fixed
   }
   return prefix;
@@ -38,32 +35,28 @@ SignatureIndex::Key SignatureIndex::key_for(const TransactionSignature& signatur
   return key;
 }
 
-SignatureIndex::SignatureIndex(
-    const std::vector<std::unique_ptr<TransactionSignature>>& signatures) {
-  entries_.reserve(signatures.size());
-  for (std::size_t i = 0; i < signatures.size(); ++i) {
-    const TransactionSignature* sig = signatures[i].get();
-    const Key key = key_for(*sig);
+void SignatureIndex::insert(const TransactionSignature* sig) {
+  const auto order = static_cast<std::uint32_t>(entries_.size());
+  const Key key = key_for(*sig);
 
-    const auto [it, inserted] = method_roots_.try_emplace(key.method, 0);
-    if (inserted) {
-      it->second = static_cast<std::int32_t>(nodes_.size());
-      nodes_.emplace_back();
-    }
-    std::int32_t node = it->second;
-    for (char c : key.path_prefix) {
-      std::int32_t next = child_of(node, c);
-      if (next < 0) {
-        next = static_cast<std::int32_t>(nodes_.size());
-        nodes_.emplace_back();
-        nodes_[static_cast<std::size_t>(node)].children.emplace_back(c, next);
-      }
-      node = next;
-    }
-    nodes_[static_cast<std::size_t>(node)].entries.push_back(static_cast<std::uint32_t>(i));
-
-    entries_.push_back(Entry{sig, static_cast<std::uint32_t>(i), key.host_prefix});
+  const auto [it, inserted] = method_roots_.try_emplace(key.method, 0);
+  if (inserted) {
+    it->second = static_cast<std::int32_t>(nodes_.size());
+    nodes_.emplace_back();
   }
+  std::int32_t node = it->second;
+  for (char c : key.path_prefix) {
+    std::int32_t next = child_of(node, c);
+    if (next < 0) {
+      next = static_cast<std::int32_t>(nodes_.size());
+      nodes_.emplace_back();
+      nodes_[static_cast<std::size_t>(node)].children.emplace_back(c, next);
+    }
+    node = next;
+  }
+  nodes_[static_cast<std::size_t>(node)].entries.push_back(order);
+
+  entries_.push_back(Entry{sig, order, key.host_prefix});
 }
 
 std::int32_t SignatureIndex::child_of(std::int32_t node, char c) const {
@@ -92,21 +85,25 @@ void SignatureIndex::collect(const http::Request& request,
 }
 
 const TransactionSignature* SignatureIndex::match(const http::Request& request,
-                                                  std::string_view app) const {
-  // Reusable candidate buffer: the fast path allocates nothing in steady
-  // state. Matching is serialised by the caller (see header of regex.hpp).
+                                                  std::string_view app,
+                                                  DispatchCounters* counters) const {
+  // Reusable per-thread candidate buffer: the fast path allocates nothing in
+  // steady state, and threads matching against one shared index never touch
+  // each other's buffers.
   thread_local std::vector<std::uint32_t> candidates;
   candidates.clear();
   collect(request, candidates);
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  candidates_.fetch_add(static_cast<std::int64_t>(candidates.size()),
-                        std::memory_order_relaxed);
+  if (counters != nullptr) {
+    counters->lookups.fetch_add(1, std::memory_order_relaxed);
+    counters->candidates.fetch_add(static_cast<std::int64_t>(candidates.size()),
+                                   std::memory_order_relaxed);
+  }
   for (std::uint32_t idx : candidates) {
     const Entry& entry = entries_[idx];
     if (!app.empty() && entry.sig->app != app) continue;
     if (!std::string_view(request.uri.host).starts_with(entry.host_prefix)) continue;
     if (entry.sig->match(request)) {
-      confirmed_.fetch_add(1, std::memory_order_relaxed);
+      if (counters != nullptr) counters->confirmed.fetch_add(1, std::memory_order_relaxed);
       return entry.sig;
     }
   }

@@ -21,11 +21,12 @@
 // bit-identical to the linear scan — the prefilter only removes signatures
 // whose full match is guaranteed to fail.
 //
-// The index holds raw pointers into the owning SignatureSet and must be
-// rebuilt after the set changes (SignatureSet does this lazily).
+// The index holds raw pointers into the owning SignatureSet, which inserts
+// each signature as it is added, so the index is complete whenever the set
+// is. Lookups change nothing in it: threads may match against one set at
+// once, each counting into its own DispatchCounters.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -40,34 +41,20 @@ namespace appx::core {
 
 class SignatureIndex {
  public:
-  explicit SignatureIndex(
-      const std::vector<std::unique_ptr<TransactionSignature>>& signatures);
+  // Appends a signature; it comes after every signature inserted before it.
+  void insert(const TransactionSignature* signature);
 
   // First signature (in the set's insertion order) whose templates match the
   // request; signatures of `app` only when app != "". Same contract as
   // SignatureSet::match_request.
-  const TransactionSignature* match(const http::Request& request,
-                                    std::string_view app = "") const;
+  const TransactionSignature* match(const http::Request& request, std::string_view app = "",
+                                    DispatchCounters* counters = nullptr) const;
 
   // Signatures surviving the method/path/host prefilter for this request, in
   // insertion order. Exposed for tests and instrumentation.
   std::vector<const TransactionSignature*> candidates(const http::Request& request) const;
 
   std::size_t size() const { return entries_.size(); }
-
-  // Cumulative prefilter effectiveness, safe to read from any thread (the
-  // counters are relaxed atomics; totals may be mutually skewed by in-flight
-  // lookups but each is individually exact).
-  struct Totals {
-    std::int64_t lookups = 0;     // match() calls
-    std::int64_t candidates = 0;  // signatures surviving the prefilter
-    std::int64_t confirmed = 0;   // lookups that returned a signature
-  };
-  Totals totals() const {
-    return Totals{lookups_.load(std::memory_order_relaxed),
-                  candidates_.load(std::memory_order_relaxed),
-                  confirmed_.load(std::memory_order_relaxed)};
-  }
 
   // The prefilter key computed for one signature (test hook).
   struct Key {
@@ -96,10 +83,6 @@ class SignatureIndex {
   std::vector<Entry> entries_;                    // insertion order
   std::map<std::string, std::int32_t> method_roots_;  // method -> trie root
   std::vector<TrieNode> nodes_;                   // shared pool, all tries
-  // match() is logically const; instrumentation rides along as atomics.
-  mutable std::atomic<std::int64_t> lookups_{0};
-  mutable std::atomic<std::int64_t> candidates_{0};
-  mutable std::atomic<std::int64_t> confirmed_{0};
 };
 
 }  // namespace appx::core

@@ -411,13 +411,17 @@ Value parse(std::string_view text) { return JsonParser(text).parse_document(); }
 
 // --- paths ------------------------------------------------------------------
 
-Path::Path(std::string_view text) : text_(text) {
+Path::Path(std::string_view text) : text_(text) { parse(text, &steps_); }
+
+void Path::validate(std::string_view text) { parse(text, nullptr); }
+
+void Path::parse(std::string_view text, std::vector<PathStep>* steps) {
   std::size_t pos = 0;
   while (pos < text.size()) {
     PathStep step;
     // Member name up to '.', '[' or end.
     const std::size_t name_end = text.find_first_of(".[", pos);
-    step.key = std::string(text.substr(pos, name_end - pos));
+    const std::string_view key = text.substr(pos, name_end - pos);
     pos = (name_end == std::string_view::npos) ? text.size() : name_end;
     if (pos < text.size() && text[pos] == '[') {
       const std::size_t close = text.find(']', pos);
@@ -439,17 +443,20 @@ Path::Path(std::string_view text) : text_(text) {
       }
       pos = close + 1;
     }
-    if (step.key.empty() && !step.indexed) {
+    if (key.empty() && !step.indexed) {
       throw ParseError("json path '" + std::string(text) + "': empty step");
     }
-    steps_.push_back(std::move(step));
+    if (steps != nullptr) {
+      step.key = std::string(key);
+      steps->push_back(std::move(step));
+    }
     if (pos < text.size()) {
       if (text[pos] != '.') throw ParseError("json path: expected '.'");
       ++pos;
       if (pos == text.size()) throw ParseError("json path: trailing '.'");
     }
   }
-  if (steps_.empty()) throw ParseError("json path: empty path");
+  if (text.empty()) throw ParseError("json path: empty path");
 }
 
 std::vector<const Value*> Path::resolve(const Value& root) const {

@@ -107,6 +107,9 @@ class Path {
   explicit Path(std::string_view text);
   Path() = default;
 
+  // Throws the ParseError the constructor would, without building a Path.
+  static void validate(std::string_view text);
+
   const std::string& text() const { return text_; }
   const std::vector<PathStep>& steps() const { return steps_; }
   bool empty() const { return steps_.empty(); }
@@ -123,6 +126,9 @@ class Path {
   bool operator==(const Path& other) const { return text_ == other.text_; }
 
  private:
+  // Parses `text`, appending its steps to `steps` when it is non-null.
+  static void parse(std::string_view text, std::vector<PathStep>* steps);
+
   std::string text_;
   std::vector<PathStep> steps_;
 };

@@ -1,6 +1,7 @@
 #include "pattern/regex.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "util/error.hpp"
 
@@ -198,24 +199,7 @@ Regex::Regex(std::string_view expression) : source_(expression) {
   accept_ = add_state(accept);
   patch(frag.dangling, accept_);
   start_ = frag.start;
-}
-
-Regex::Regex(const Regex& other)
-    : source_(other.source_),
-      states_(other.states_),
-      class_sets_(other.class_sets_),
-      start_(other.start_),
-      accept_(other.accept_) {}
-
-Regex& Regex::operator=(const Regex& other) {
-  if (this == &other) return *this;
-  source_ = other.source_;
-  states_ = other.states_;
-  class_sets_ = other.class_sets_;
-  start_ = other.start_;
-  accept_ = other.accept_;
-  dfa_.reset();  // the assigned-to regex starts with a cold cache
-  return *this;
+  dfa_ = build_dfa();
 }
 
 std::int32_t Regex::add_state(State s) {
@@ -267,9 +251,10 @@ struct NfaScratch {
 };
 
 NfaScratch& scratch_arena() {
-  // Reclaimed at thread exit: the sharded runtime matches from short-lived
-  // connection threads, so a leaked-by-design arena would accumulate (and
-  // trips LeakSanitizer). Matching from a destructor that outlives this
+  // One arena per thread, so threads match against a shared Regex without
+  // synchronisation. Reclaimed at thread exit: threads that match and exit
+  // (tests, tools) would otherwise leak one arena each, which trips
+  // LeakSanitizer. Matching from a destructor that outlives this
   // thread_local is not a pattern this codebase has.
   thread_local NfaScratch arena;
   return arena;
@@ -331,68 +316,78 @@ std::ptrdiff_t Regex::longest_prefix_match_nfa(std::string_view input) const {
 }
 
 // ---------------------------------------------------------------------------
-// Lazy DFA: subset construction on demand. Each cached DFA state remembers
-// the (sorted) NFA set it stands for; a missing transition is filled by one
-// NFA step from that set and interned, so repeated matches settle into one
-// array lookup per input byte.
+// DFA: subset construction, run once by the constructor. Each DFA state
+// stands for a sorted NFA state set; its successors are one NFA step per byte
+// class. A match is then one array lookup per input byte.
 // ---------------------------------------------------------------------------
 
-std::int32_t Regex::intern_dfa_state(std::vector<std::int32_t> set) const {
-  if (set.empty()) return kTransDead;
-  std::sort(set.begin(), set.end());
-  const auto it = dfa_->interned.find(set);
-  if (it != dfa_->interned.end()) return it->second;
-  if (dfa_->states.size() >= kMaxDfaStates) return kTransUnknown;  // cache full
-  DfaState state;
-  state.next.fill(kTransUnknown);
-  state.accepting = std::binary_search(set.begin(), set.end(), accept_);
-  state.nfa = set;
-  dfa_->states.push_back(std::move(state));
-  const std::int32_t id = static_cast<std::int32_t>(dfa_->states.size() - 1);
-  dfa_->interned.emplace(std::move(set), id);
-  return id;
-}
-
-void Regex::ensure_dfa_start() const {
-  if (dfa_) return;
-  dfa_ = std::make_unique<Dfa>();
-  NfaScratch& arena = scratch_arena();
-  const std::uint32_t generation = arena.begin(states_.size());
-  std::vector<std::int32_t> closure;
-  add_closure(start_, closure, arena.stamp, generation);
-  intern_dfa_state(std::move(closure));  // state 0; never empty (start exists)
-}
-
-std::int32_t Regex::dfa_step(std::int32_t from, unsigned char c) const {
-  const std::int32_t cached = dfa_->states[static_cast<std::size_t>(from)].next[c];
-  if (cached != kTransUnknown) return cached;
-  NfaScratch& arena = scratch_arena();
-  const std::uint32_t generation = arena.begin(states_.size());
-  std::vector<std::int32_t> next;
-  step_nfa(dfa_->states[static_cast<std::size_t>(from)].nfa, c, next, arena.stamp, generation);
-  const std::int32_t target = intern_dfa_state(std::move(next));
-  if (target != kTransUnknown) {
-    dfa_->states[static_cast<std::size_t>(from)].next[c] = target;
+std::unique_ptr<const Regex::Dfa> Regex::build_dfa() const {
+  // Byte equivalence classes: bytes that no consuming NFA state tells apart
+  // lead every state set to the same successor, so the construction steps
+  // once per class instead of once per byte.
+  std::array<std::uint8_t, 256> byte_class{};
+  std::size_t class_count = 1;
+  for (const State& s : states_) {
+    if (s.kind != State::Kind::kChar && s.kind != State::Kind::kClass) continue;
+    std::array<std::int16_t, 512> renumber;  // (old class, in s) -> new class
+    renumber.fill(-1);
+    std::int16_t next_class = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      const bool in = s.kind == State::Kind::kChar ? static_cast<unsigned char>(s.ch) == b
+                                                   : class_sets_[s.cls][b] != 0;
+      std::int16_t& id = renumber[byte_class[b] * 2u + (in ? 1u : 0u)];
+      if (id < 0) id = next_class++;
+      byte_class[b] = static_cast<std::uint8_t>(id);
+    }
+    class_count = static_cast<std::size_t>(next_class);
   }
-  return target;
+  std::array<unsigned char, 256> representative{};
+  for (std::size_t b = 256; b-- > 0;) representative[byte_class[b]] = static_cast<unsigned char>(b);
+
+  auto dfa = std::make_unique<Dfa>();
+  std::vector<std::vector<std::int32_t>> sets;  // NFA state set per DFA state
+  std::map<std::vector<std::int32_t>, std::int32_t> interned;
+  const auto intern = [&](std::vector<std::int32_t> set) -> std::int32_t {
+    if (set.empty()) return kTransDead;
+    std::sort(set.begin(), set.end());
+    const auto it = interned.find(set);
+    if (it != interned.end()) return it->second;
+    const auto id = static_cast<std::int32_t>(sets.size());
+    DfaState state;
+    state.accepting = std::binary_search(set.begin(), set.end(), accept_);
+    dfa->states.push_back(state);
+    interned.emplace(set, id);
+    sets.push_back(std::move(set));
+    return id;
+  };
+
+  NfaScratch& arena = scratch_arena();
+  std::vector<std::int32_t> frontier;
+  std::uint32_t generation = arena.begin(states_.size());
+  add_closure(start_, frontier, arena.stamp, generation);
+  intern(frontier);  // state 0; never empty (start exists)
+  std::array<std::int32_t, 256> by_class{};
+  for (std::size_t id = 0; id < sets.size(); ++id) {
+    for (std::size_t c = 0; c < class_count; ++c) {
+      generation = arena.bump();
+      step_nfa(sets[id], representative[c], frontier, arena.stamp, generation);
+      by_class[c] = intern(frontier);
+      if (sets.size() > kMaxDfaStates) return nullptr;
+    }
+    for (std::size_t b = 0; b < 256; ++b) dfa->states[id].next[b] = by_class[byte_class[b]];
+  }
+  return dfa;
 }
 
 std::ptrdiff_t Regex::longest_prefix_match(std::string_view input) const {
-  ensure_dfa_start();
+  if (!dfa_) return longest_prefix_match_nfa(input);
+  const DfaState* states = dfa_->states.data();
   std::int32_t current = 0;
-  std::ptrdiff_t best = dfa_->states[0].accepting ? 0 : -1;
+  std::ptrdiff_t best = states[0].accepting ? 0 : -1;
   for (std::size_t i = 0; i < input.size(); ++i) {
-    const std::int32_t target = dfa_step(current, static_cast<unsigned char>(input[i]));
-    if (target == kTransDead) return best;
-    if (target == kTransUnknown) {
-      // DFA cache blew its cap mid-walk: redo this match on the NFA. The
-      // states cached so far stay usable for future matches.
-      return longest_prefix_match_nfa(input);
-    }
-    current = target;
-    if (dfa_->states[static_cast<std::size_t>(current)].accepting) {
-      best = static_cast<std::ptrdiff_t>(i + 1);
-    }
+    current = states[current].next[static_cast<unsigned char>(input[i])];
+    if (current == kTransDead) return best;
+    if (states[current].accepting) best = static_cast<std::ptrdiff_t>(i + 1);
   }
   return best;
 }

@@ -13,23 +13,19 @@
 // Matches are whole-string (anchored at both ends), which is how the paper's
 // signatures are written; use ".*" affixes for substring behaviour.
 //
-// Execution is two-tier (RE2-style):
-//   1. a lazily-built DFA: subset-construction states are cached keyed by
-//      their NFA state set the first time the match walk needs them, so the
-//      steady state is one table lookup per input byte;
-//   2. the Thompson NFA simulation, used to seed DFA states, as the fallback
-//      when the DFA cache reaches its size cap, and as the reference
-//      implementation for property tests.
-// Both tiers produce identical results by construction. Like the rest of the
-// pattern layer (see FieldTemplate's lazily compiled shapes), lazy state is
-// mutable-under-const and not synchronised: callers serialise concurrent
-// matching on a shared Regex themselves (the proxy front end already
-// serialises engine access).
+// Execution is two-tier:
+//   1. a DFA built whole by the constructor (subset construction over byte
+//      equivalence classes), so a match is one table lookup per input byte;
+//   2. the Thompson NFA simulation, used when the DFA would exceed
+//      kMaxDfaStates, and as the reference implementation for property
+//      tests.
+// Both tiers produce identical results by construction. A built Regex is
+// immutable: matching writes only per-thread NFA scratch, so any number of
+// threads may match against one Regex (or copies sharing its DFA) at once.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -42,11 +38,6 @@ class Regex {
   // Compiles the expression; throws appx::ParseError on invalid syntax.
   explicit Regex(std::string_view expression);
 
-  // Copies share no DFA cache (the copy starts cold); the NFA is copied.
-  Regex(const Regex& other);
-  Regex(Regex&&) noexcept = default;
-  Regex& operator=(const Regex& other);
-  Regex& operator=(Regex&&) noexcept = default;
 
   // True if the entire input matches.
   bool full_match(std::string_view input) const;
@@ -57,8 +48,8 @@ class Regex {
   std::ptrdiff_t longest_prefix_match(std::string_view input) const;
 
   // Reference Thompson-NFA simulation. Semantics are identical to
-  // longest_prefix_match (which runs the lazy DFA); exposed for property
-  // tests and benchmarks of the pre-DFA path.
+  // longest_prefix_match (which runs the DFA); exposed for property tests
+  // and benchmarks of the pre-DFA path.
   std::ptrdiff_t longest_prefix_match_nfa(std::string_view input) const;
 
   // The longest literal string every match must start with (the run of
@@ -66,7 +57,8 @@ class Regex {
   // the signature dispatch index's prefilter.
   std::string required_prefix() const;
 
-  // Number of DFA states cached so far (0 until the first match).
+  // Number of DFA states; 0 when the expression needs more than
+  // kMaxDfaStates and matches on the NFA.
   std::size_t dfa_state_count() const;
 
   const std::string& source() const { return source_; }
@@ -91,35 +83,25 @@ class Regex {
     std::vector<std::int32_t> dangling;  // states whose `next`/eps needs patching
   };
 
-  // --- lazy DFA --------------------------------------------------------------
-  // Transition values: >= 0 is a DFA state id; kTransUnknown means "not built
-  // yet"; kTransDead means "no NFA state survives this byte".
-  static constexpr std::int32_t kTransUnknown = -1;
-  static constexpr std::int32_t kTransDead = -2;
-  // Cap on cached DFA states; beyond it, matches that step off the cached
-  // frontier fall back to NFA simulation. Signature patterns compile to a
-  // handful of states; the cap only guards pathological inputs.
+  // --- DFA -------------------------------------------------------------------
+  // Transition values: >= 0 is a DFA state id; kTransDead means "no NFA
+  // state survives this byte".
+  static constexpr std::int32_t kTransDead = -1;
+  // Cap on DFA states; an expression that needs more matches on the NFA.
+  // Signature patterns compile to a handful of states; the cap only guards
+  // pathological inputs.
   static constexpr std::size_t kMaxDfaStates = 512;
 
   struct DfaState {
-    std::array<std::int32_t, 256> next;
-    std::vector<std::int32_t> nfa;  // sorted NFA state set this represents
+    std::array<std::int32_t, 256> next{};
     bool accepting = false;
   };
   struct Dfa {
-    std::vector<DfaState> states;
-    // Interning table: sorted NFA state set -> DFA state id.
-    std::map<std::vector<std::int32_t>, std::int32_t> interned;
+    std::vector<DfaState> states;  // state 0 is the start
   };
 
-  void ensure_dfa_start() const;
-  // Builds (or returns the cached) successor of `from` on byte `c`. Returns
-  // kTransDead for the dead state, or kTransUnknown when the cache is full
-  // and the caller must fall back to the NFA.
-  std::int32_t dfa_step(std::int32_t from, unsigned char c) const;
-  // Interns the sorted NFA set; returns its id, kTransDead when empty, or
-  // kTransUnknown when the cache is at capacity.
-  std::int32_t intern_dfa_state(std::vector<std::int32_t> set) const;
+  // Subset construction of the whole DFA; null past kMaxDfaStates.
+  std::unique_ptr<const Dfa> build_dfa() const;
 
   // --- compilation ---
   struct Parser;
@@ -138,7 +120,8 @@ class Regex {
   std::vector<std::vector<std::uint8_t>> class_sets_;  // 256-bit bitmaps
   std::int32_t start_ = -1;
   std::int32_t accept_ = -1;
-  mutable std::unique_ptr<Dfa> dfa_;  // built on first match
+  // Immutable once built, so copies of the Regex share it.
+  std::shared_ptr<const Dfa> dfa_;
 };
 
 }  // namespace appx::pattern

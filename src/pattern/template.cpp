@@ -71,24 +71,33 @@ FieldTemplate& FieldTemplate::append_literal(std::string_view text) {
     segments_.back().text += text;
   } else {
     segments_.push_back(Segment{false, std::string(text), ""});
-    compiled_.resize(segments_.size());
   }
-  compiled_.assign(segments_.size(), nullptr);
   return *this;
 }
 
 FieldTemplate& FieldTemplate::append_hole(std::string name, std::string shape) {
   if (name.empty()) throw InvalidArgumentError("FieldTemplate: hole name must be non-empty");
   if (shape.empty()) throw InvalidArgumentError("FieldTemplate: hole shape must be non-empty");
-  segments_.push_back(Segment{true, std::move(name), std::move(shape)});
-  compiled_.assign(segments_.size(), nullptr);
+  std::shared_ptr<const Regex> compiled;
+  if (shape != ".*") compiled = std::make_shared<const Regex>(shape);
+  push_hole(std::move(name), std::move(shape), std::move(compiled));
   return *this;
 }
 
+void FieldTemplate::push_hole(std::string name, std::string shape,
+                              std::shared_ptr<const Regex> compiled) {
+  segments_.push_back(Segment{true, std::move(name), std::move(shape)});
+  if (compiled) {
+    compiled_.resize(segments_.size());
+    compiled_.back() = std::move(compiled);
+  }
+}
+
 FieldTemplate& FieldTemplate::append(const FieldTemplate& other) {
-  for (const Segment& seg : other.segments_) {
+  for (std::size_t i = 0; i < other.segments_.size(); ++i) {
+    const Segment& seg = other.segments_[i];
     if (seg.is_hole) {
-      append_hole(seg.text, seg.shape);
+      push_hole(seg.text, seg.shape, other.shape_regex_ptr(i));
     } else {
       append_literal(seg.text);
     }
@@ -114,16 +123,6 @@ std::vector<std::string> FieldTemplate::hole_names() const {
 bool FieldTemplate::has_hole(std::string_view name) const {
   return std::any_of(segments_.begin(), segments_.end(),
                      [&](const Segment& s) { return s.is_hole && s.text == name; });
-}
-
-const Regex* FieldTemplate::shape_regex(std::size_t seg_index) const {
-  const Segment& seg = segments_[seg_index];
-  if (!seg.is_hole || seg.shape == ".*") return nullptr;  // universal: no check needed
-  if (compiled_.size() != segments_.size()) compiled_.assign(segments_.size(), nullptr);
-  if (!compiled_[seg_index]) {
-    compiled_[seg_index] = std::make_shared<const Regex>(seg.shape);
-  }
-  return compiled_[seg_index].get();
 }
 
 bool FieldTemplate::matches(std::string_view value) const {
@@ -177,14 +176,15 @@ std::optional<std::string> FieldTemplate::fill(const Bindings& bindings) const {
 
 FieldTemplate FieldTemplate::partial_fill(const Bindings& bindings) const {
   FieldTemplate out;
-  for (const Segment& seg : segments_) {
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const Segment& seg = segments_[i];
     if (!seg.is_hole) {
       out.append_literal(seg.text);
       continue;
     }
     const auto it = bindings.find(seg.text);
     if (it == bindings.end()) {
-      out.append_hole(seg.text, seg.shape);
+      out.push_hole(seg.text, seg.shape, shape_regex_ptr(i));
     } else {
       out.append_literal(it->second);
     }
@@ -210,6 +210,11 @@ std::string FieldTemplate::to_regex_string() const {
 
 std::string FieldTemplate::to_display_string() const {
   std::string out;
+  append_display_string(out);
+  return out;
+}
+
+void FieldTemplate::append_display_string(std::string& out) const {
   for (const Segment& seg : segments_) {
     if (seg.is_hole) {
       out += '{';
@@ -226,7 +231,6 @@ std::string FieldTemplate::to_display_string() const {
       }
     }
   }
-  return out;
 }
 
 void FieldTemplate::serialize(ByteWriter& out) const {

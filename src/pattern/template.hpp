@@ -14,6 +14,11 @@
 //     prefetch request (paper R2),
 //   - to_regex_string   : render the paper's display form where every hole
 //     is its shape regex (".*" by default), used for signature matching.
+//
+// Hole shapes are compiled when the hole is appended (an invalid shape
+// throws ParseError there), so a built template is immutable and any number
+// of threads may match against it at once. The universal ".*" compiles to
+// nothing; copies of a template share its compiled shapes.
 #pragma once
 
 #include <map>
@@ -60,6 +65,12 @@ class FieldTemplate {
   bool has_hole(std::string_view name) const;
   const std::vector<Segment>& segments() const { return segments_; }
 
+  // The compiled shape of segment `i`; null for literals and for ".*"
+  // holes, which accept anything.
+  const Regex* shape_regex(std::size_t i) const {
+    return i < compiled_.size() ? compiled_[i].get() : nullptr;
+  }
+
   // Whole-string match of a concrete value against the template.
   bool matches(std::string_view value) const;
 
@@ -81,6 +92,7 @@ class FieldTemplate {
   // Display forms.
   std::string to_regex_string() const;    // holes rendered as their shape
   std::string to_display_string() const;  // holes rendered as "{name}"
+  void append_display_string(std::string& out) const;
 
   void serialize(ByteWriter& out) const;
   static FieldTemplate deserialize(ByteReader& in);
@@ -90,12 +102,16 @@ class FieldTemplate {
  private:
   bool match_from(std::string_view value, std::size_t value_pos, std::size_t seg_index,
                   Bindings& bindings) const;
-  const Regex* shape_regex(std::size_t seg_index) const;
+  void push_hole(std::string name, std::string shape, std::shared_ptr<const Regex> compiled);
+  std::shared_ptr<const Regex> shape_regex_ptr(std::size_t i) const {
+    return i < compiled_.size() ? compiled_[i] : nullptr;
+  }
 
   std::vector<Segment> segments_;
-  // Lazily compiled shape regexes, parallel to segments_ (null for literals
-  // and for the universal ".*" shape which always matches).
-  mutable std::vector<std::shared_ptr<const Regex>> compiled_;
+  // Compiled shape regexes by segment index, null for literals and for the
+  // universal ".*" shape which always matches. Holds no more entries than up
+  // to the last compiled shape, so an all-".*" template allocates nothing.
+  std::vector<std::shared_ptr<const Regex>> compiled_;
 };
 
 }  // namespace appx::pattern

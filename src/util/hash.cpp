@@ -1,7 +1,5 @@
 #include "util/hash.hpp"
 
-#include "util/strings.hpp"
-
 namespace appx {
 
 std::uint64_t fnv1a(std::string_view data) { return fnv1a(data.data(), data.size()); }
@@ -21,9 +19,16 @@ std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
 }
 
 std::string short_digest(std::string_view data, std::size_t hex_chars) {
-  std::string full = strings::to_hex(fnv1a(data));
-  if (hex_chars < full.size()) full.resize(hex_chars);
-  return full;
+  std::string out;
+  append_short_digest(out, data, hex_chars);
+  return out;
+}
+
+void append_short_digest(std::string& out, std::string_view data, std::size_t hex_chars) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint64_t h = fnv1a(data);
+  const std::size_t n = hex_chars < 16 ? hex_chars : 16;
+  for (std::size_t i = 0; i < n; ++i) out += kHex[(h >> (60 - 4 * i)) & 0xf];
 }
 
 }  // namespace appx

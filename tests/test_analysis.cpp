@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "analysis/analyzer.hpp"
+#include "apps/catalog.hpp"
+#include "apps/compiler.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace appx::analysis {
 namespace {
@@ -391,6 +396,67 @@ TEST(Analyzer, PolymorphicCallContextsMergeToOptionalOrUnknown) {
   const auto& sig = *result.signatures.all().front();
   ASSERT_EQ(sig.request.query.size(), 1u);
   EXPECT_EQ(sig.request.query[0].value.hole_count(), 1u);  // merged to hole
+}
+
+// --- pinned output of the catalog apps ---------------------------------------------
+//
+// The analyzer's output for the five catalog apps is pinned byte for byte:
+// FNV-1a of the serialized signature set, FNV-1a of the rendered backward
+// slices, and every report counter. A change to the analyzer's internals
+// must leave all of them as they are.
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string slices_digest(const AnalysisResult& result) {
+  std::string text;
+  for (const auto& [label, entries] : result.slices) {
+    text += label;
+    text += '\n';
+    for (const SliceEntry& e : entries) {
+      text += e.method;
+      text += ':';
+      text += std::to_string(e.pc);
+      text += '\n';
+    }
+  }
+  return hex64(fnv1a(text));
+}
+
+struct PinnedApp {
+  apps::AppSpec (*make)();
+  const char* signatures;  // hex FNV-1a of SignatureSet::serialize()
+  const char* slices;      // slices_digest()
+  AnalysisReport report;
+};
+
+TEST(AnalyzerPinned, CatalogAppsAnalyseToPinnedOutput) {
+  const PinnedApp pinned[] = {
+      {apps::make_wish, "65c06b742359d2dc", "a33b83712e43ae62", {129, 7598, 120, 120, 794, 0, 2}},
+      {apps::make_geek, "c36efc365ece1e10", "978c72e1345f3109", {126, 5786, 118, 118, 388, 0, 2}},
+      {apps::make_doordash, "95afe757c17015ee", "86fa87029baf0e6b", {70, 2792, 63, 63, 160, 0, 2}},
+      {apps::make_purpleocean, "8ea4d2b298da7d5e", "5dae34c51887405e", {115, 3860, 109, 109, 72, 0, 2}},
+      {apps::make_postmates, "535c2165bd43680d", "e8b1ee574652334f", {93, 4528, 83, 83, 272, 0, 2}},
+  };
+  for (const PinnedApp& app : pinned) {
+    const apps::AppSpec spec = app.make();
+    SCOPED_TRACE(spec.name);
+    const AnalysisResult result = analyze(apps::compile_app(spec));
+    const std::vector<std::uint8_t> blob = result.signatures.serialize();
+    EXPECT_EQ(hex64(fnv1a(blob.data(), blob.size())), app.signatures);
+    EXPECT_EQ(slices_digest(result), app.slices);
+    const AnalysisReport& r = result.report;
+    EXPECT_EQ(r.methods_analyzed, app.report.methods_analyzed);
+    EXPECT_EQ(r.instructions_interpreted, app.report.instructions_interpreted);
+    EXPECT_EQ(r.send_sites, app.report.send_sites);
+    EXPECT_EQ(r.unique_signatures, app.report.unique_signatures);
+    EXPECT_EQ(r.dependency_edges, app.report.dependency_edges);
+    EXPECT_EQ(r.unresolved_values, app.report.unresolved_values);
+    EXPECT_EQ(r.fixpoint_iterations, app.report.fixpoint_iterations);
+  }
 }
 
 }  // namespace

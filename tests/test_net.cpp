@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
 #include <future>
@@ -1144,9 +1145,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, UpstreamExchange, ::testing::Values("epoll", 
 // --- pipelined dispatch, on both backends --------------------------------------
 
 // An origin (thread per connection) serving apps::OriginServer content that
-// holds a request whose query carries `hold_ms=N` for N ms and echoes its
-// `variant` query value as X-Variant. It tracks how many tagged (`variant`)
-// requests it serves at once; the proxy's prefetches carry no tag.
+// holds a request whose query carries `hold_ms=N` for N ms, holds one that
+// carries `after=V` until a request tagged V has arrived (at most 2 s), and
+// echoes its `variant` query value as X-Variant. It tracks how many tagged
+// (`variant`) requests it serves at once; the proxy's prefetches carry no tag.
 class HoldingOrigin {
  public:
   explicit HoldingOrigin(apps::OriginServer* origin) : origin_(origin) {}
@@ -1159,7 +1161,17 @@ class HoldingOrigin {
       HttpReader reader(&stream);
       while (auto request = reader.read_request()) {
         const std::optional<std::string> variant = request->uri.query_param("variant");
-        if (variant) raise_peak(peak_, ++in_flight_);
+        if (variant) {
+          raise_peak(peak_, ++in_flight_);
+          const std::lock_guard<std::mutex> lock(arrivals_mutex_);
+          arrived_.insert(*variant);
+          arrival_.notify_all();
+        }
+        if (const auto after = request->uri.query_param("after")) {
+          std::unique_lock<std::mutex> lock(arrivals_mutex_);
+          arrival_.wait_for(lock, std::chrono::seconds(2),
+                            [&] { return arrived_.count(*after) > 0; });
+        }
         if (const auto hold = request->uri.query_param("hold_ms")) {
           std::this_thread::sleep_for(std::chrono::milliseconds(std::stoi(*hold)));
         }
@@ -1183,6 +1195,9 @@ class HoldingOrigin {
   std::mutex origin_mutex_;
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> peak_{0};
+  std::mutex arrivals_mutex_;
+  std::condition_variable arrival_;
+  std::set<std::string> arrived_;
   ThreadedOrigin server_{[this](TcpStream s) { serve(std::move(s)); }};
 };
 
@@ -1243,11 +1258,15 @@ class PipelinedDispatch : public UpstreamExchange {
 TEST_P(PipelinedDispatch, PipelinedMissesRunConcurrentlyAndAnswerInOrder) {
   // The origin holds the first miss 200 ms. The second reaches it meanwhile
   // (one request at a time would show a peak of 1) and is answered first
-  // upstream, yet its response leaves after the first one.
+  // upstream, yet its response leaves after the first one. The two travel on
+  // separate upstream connections, so the second may reach the origin first;
+  // it then waits there for the first instead of finishing before it comes.
   HoldingOrigin origin(&origin_);
   auto proxy = proxy_to(origin.port(), options());
   TcpStream stream = connect_to(*proxy);
-  stream.write_all(pipelined({tagged_feed("first", 200), tagged_feed("second")}, "u1"));
+  http::Request after_first = tagged_feed("second");
+  after_first.uri.add_query_param("after", "first");
+  stream.write_all(pipelined({tagged_feed("first", 200), after_first}, "u1"));
   HttpReader reader(&stream);
   const auto first = reader.read_response();
   const auto second = reader.read_response();
@@ -2214,6 +2233,15 @@ TEST_P(EventLoopConformance, DescriptorExhaustionParksTheListenerInsteadOfSpinni
   FdLimitGuard guard;
   guard.lower_soft(static_cast<rlim_t>(highest_fd) + 64);
   LiveOriginServer server(&origin, 0, /*loop_threads=*/1, GetParam());
+  // One connection in and out first, so the loop thread has armed its accept
+  // and gone idle before the table fills: an accept attempt reserves a
+  // descriptor while it runs (uring), and one that overlapped the hoarding
+  // below would hand its slot back under the limit for the client to take.
+  {
+    const TcpStream warmup = TcpStream::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(wait_for_cond([&] { return server.open_connections() == 1; }));
+  }
+  ASSERT_TRUE(wait_for_cond([&] { return server.open_connections() == 0; }));
   // The client socket exists before the table fills; it connects once the
   // server has no descriptor left.
   const Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));

@@ -245,9 +245,9 @@ TEST_P(RegexProperty, AgreesWithReferenceMatcher) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RegexProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
-// The lazy DFA (longest_prefix_match) and the Thompson-NFA simulation
+// The DFA (longest_prefix_match) and the Thompson-NFA simulation
 // (longest_prefix_match_nfa) must agree byte-for-byte on every pattern/input
-// pair: the DFA is a cache of the NFA's subset construction, nothing more.
+// pair: the DFA is the NFA's subset construction, nothing more.
 // 10 seeds x 25 patterns x 8 inputs >= 2000 randomized pairs.
 class RegexDfaProperty : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -168,6 +168,78 @@ TEST(ShardedProxy, MultiThreadedDisjointUsersMatchSingleShardRun) {
   EXPECT_EQ(sharded_stats.prefetch_responses, reference_stats.prefetch_responses);
 }
 
+TEST(ShardedProxy, ShardsShareOneSignatureSet) {
+  const SignatureSet set = make_wish_set();
+  ProxyConfig config;
+  EngineOptions options;
+  options.shards = 4;
+  ShardedProxyEngine engine(&set, &config, options);
+  ASSERT_EQ(engine.shard_count(), 4u);
+  for (std::size_t i = 0; i < engine.shard_count(); ++i) {
+    EXPECT_EQ(engine.shard(i).signatures(), &set) << "shard " << i << " matches against a copy";
+  }
+}
+
+TEST(SharedSignatureSet, ConcurrentMatchesAgreeWithSingleThread) {
+  // One set, matched from several threads at once with no lock. The feed
+  // signature's offset and count holes have shapes other than ".*" ((0|-1)
+  // and (30|1)), so matches run their compiled DFAs.
+  const SignatureSet shared = make_wish_set();
+  std::vector<http::Request> requests;
+  const auto feed_with = [](const char* name, const char* value) {
+    http::Request req = make_feed_request();
+    req.uri.set_query_param(name, value);
+    return req;
+  };
+  requests.push_back(make_feed_request());
+  requests.push_back(feed_with("offset", "-1"));
+  requests.push_back(feed_with("offset", "7"));   // violates (0|-1)
+  requests.push_back(feed_with("count", "1"));
+  requests.push_back(feed_with("count", "300"));  // violates (30|1)
+  requests.push_back(make_product_request("a"));
+  requests.push_back(make_product_request("b", /*with_credit=*/true));
+  http::Request unknown = make_feed_request();
+  unknown.uri.path = "/api/get-feed2";
+  requests.push_back(unknown);
+
+  // Reference: a separate copy of the set, matched on this thread alone.
+  const SignatureSet reference = SignatureSet::deserialize(shared.serialize());
+  std::vector<std::string> expected_ids;
+  std::vector<Bindings> expected_bindings;
+  for (const http::Request& req : requests) {
+    const TransactionSignature* sig = reference.match_request(req);
+    expected_ids.push_back(sig != nullptr ? sig->id : "");
+    expected_bindings.push_back(sig != nullptr ? *sig->match(req) : Bindings{});
+  }
+  ASSERT_EQ(expected_ids[0], shared.find_by_label("wish.feed")->id);
+  ASSERT_EQ(expected_ids[2], "") << "the (0|-1) shape must reject offset=7";
+  ASSERT_EQ(expected_ids[4], "") << "the (30|1) shape must reject count=300";
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+  DispatchCounters counters[kThreads];
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const std::size_t idx = (i + static_cast<std::size_t>(t + round)) % requests.size();
+          const TransactionSignature* sig = shared.match_request(requests[idx], "", &counters[t]);
+          const std::string id = sig != nullptr ? sig->id : "";
+          if (id != expected_ids[idx]) ++mismatches;
+          if (sig != nullptr && *sig->match(requests[idx]) != expected_bindings[idx]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const DispatchCounters& c : counters) {
+    EXPECT_EQ(c.lookups.load(), static_cast<std::int64_t>(kRounds * requests.size()));
+  }
+}
+
 TEST(ShardedProxy, BalanceInvariantHoldsAcrossShardsUnderFailuresAndDrops) {
   const SignatureSet set = make_wish_set();
   ProxyConfig config;

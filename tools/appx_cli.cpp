@@ -220,7 +220,8 @@ int cmd_demo(const std::vector<std::string>& args) {
   core::ProxyConfig config;
   config.default_expiration = minutes(30);
   // The sharded runtime: one shard per hardware thread, no global engine
-  // lock between the proxy's connection threads.
+  // lock between the proxy's loop threads. The shards borrow
+  // analysis.signatures, which outlives the engine.
   core::ShardedProxyEngine engine(&analysis.signatures, &config);
   net::LiveProxyServer::UpstreamMap upstreams;
   for (const apps::EndpointSpec& ep : spec.endpoints) upstreams[ep.host] = origin_server.port();
