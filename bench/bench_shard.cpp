@@ -1,7 +1,8 @@
 // Sharded-runtime microbenchmark (google-benchmark): engine-event throughput
-// of the single-mutex runtime (one ProxyEngine behind one external lock — the
-// pre-sharding LiveProxyServer arrangement) vs the ShardedProxyEngine, where
-// each user's events take only the owning shard's lock.
+// of the single-mutex runtime (a one-shard ShardedProxyEngine behind one
+// external lock — the pre-sharding LiveProxyServer arrangement) vs an
+// eight-shard ShardedProxyEngine, where each user's events take only the
+// owning shard's lock.
 //
 // The measured event is a warm cache-hit on_request: a full engine event
 // (cache lookup, per-signature hit-rate accounting, metrics, Decision
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "core/engine_options.hpp"
-#include "core/proxy.hpp"
 #include "core/session.hpp"
 #include "core/sharded_proxy.hpp"
 #include "../tests/wish_fixture.hpp"
@@ -77,13 +77,14 @@ struct SingleMutexRuntime {
   core::SignatureSet set = make_wish_set();
   core::ProxyConfig config;
   std::mutex mutex;  // the one global engine lock
-  std::unique_ptr<core::ProxyEngine> engine;
+  std::unique_ptr<core::ShardedProxyEngine> engine;
   std::vector<std::string> users;
 
   SingleMutexRuntime() {
     config.default_expiration = minutes(30);
     config.max_users = kBackgroundUsers + kMaxThreads + 1;
-    engine = std::make_unique<core::ProxyEngine>(&set, &config, 7);
+    engine = std::make_unique<core::ShardedProxyEngine>(&set, &config,
+                                                        testfix::one_shard(config, 7));
     for (int t = 0; t < kMaxThreads; ++t) {
       users.push_back("u" + std::to_string(t));
       warm_user(*engine, users.back());

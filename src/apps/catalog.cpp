@@ -591,7 +591,8 @@ AppSpec build_app(const Params& p) {
     app.interactions.push_back(std::move(sync));
   }
 
-  app.validate();
+  // Not validated here: compile_app validates every spec it compiles, and
+  // callers edit some specs after this returns (see make_postmates).
   return app;
 }
 

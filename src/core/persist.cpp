@@ -11,12 +11,6 @@ constexpr char kMagic[8] = {'A', 'P', 'P', 'X', 'S', 'N', 'A', 'P'};
 
 }  // namespace
 
-void SnapshotBuilder::add(const Persistable& component) {
-  ByteWriter payload;
-  component.persist(payload);
-  add_raw(component.section_name(), component.section_version(), payload);
-}
-
 void SnapshotBuilder::add_raw(std::string_view name, std::uint32_t version,
                               const ByteWriter& payload) {
   Section section;
@@ -92,27 +86,21 @@ const SnapshotView::Section* SnapshotView::find(std::string_view name) const {
   return it == sections_.end() ? nullptr : &it->second;
 }
 
-bool SnapshotView::restore_into(Persistable& component) const {
-  const Section* section = find(component.section_name());
-  if (section == nullptr) {
-    log_info("persist") << "snapshot has no '" << component.section_name()
-                        << "' section; component stays cold";
-    return false;
+const SnapshotView::Section* SnapshotView::readable(std::string_view name,
+                                                    std::uint32_t supported) const {
+  const Section* section = find(name);
+  if (section != nullptr && section->version > supported) {
+    log_warn("persist") << "section '" << name << "' is v" << section->version
+                        << " but this build supports v" << supported
+                        << "; component stays cold";
+    return nullptr;
   }
-  if (section->version > component.section_version()) {
-    log_warn("persist") << "section '" << component.section_name() << "' is v"
-                        << section->version << " but this build supports v"
-                        << component.section_version() << "; component stays cold";
-    return false;
-  }
-  ByteReader in(section->data, section->size);
-  try {
-    component.restore(in, section->version);
-  } catch (const Error& e) {
-    throw SnapshotCorruptError("snapshot: section '" + std::string(component.section_name()) +
-                               "' failed to decode: " + e.what());
-  }
-  return true;
+  return section;
+}
+
+void SnapshotView::throw_undecodable(std::string_view name, const Error& e) {
+  throw SnapshotCorruptError("snapshot: section '" + std::string(name) +
+                             "' failed to decode: " + e.what());
 }
 
 }  // namespace appx::core

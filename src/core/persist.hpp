@@ -3,8 +3,8 @@
 // APPx's acceleration only pays off once the proxy has *learned* — resolved
 // wildcards, dependency flows, per-signature value estimates. Cluster mode
 // (warm restart, user handoff between nodes) needs that state to survive the
-// process, so every learned component implements core::Persistable and the
-// engine packs them into one self-describing binary container:
+// process, so the engine (ShardedProxyEngine) packs each learned component's
+// bytes into a named section of one self-describing binary container:
 //
 //   magic "APPXSNAP" | u32 container version | u32 section count
 //   sections: { str name, u32 section version, u64 payload length, payload }
@@ -16,15 +16,16 @@
 //     node's snapshot.
 //   * Unknown section NAMES are skipped: an old snapshot restored by a newer
 //     build (or vice versa) warms every component both sides know about.
-//   * A section whose version is newer than the component's current version
-//     leaves that component cold (restore_into returns false); the rest of
-//     the snapshot still restores.
+//   * A section whose version is newer than its reader supports leaves that
+//     component cold (SnapshotView::decode returns false); the rest of the
+//     snapshot still restores.
 //   * Truncation/bit-rot fails the checksum before any section is parsed:
-//     SnapshotCorruptError, never a crash or a half-restored engine.
+//     SnapshotCorruptError, never a crash or a half-restored engine. A
+//     payload that passes the checksum but does not decode (a hand-made
+//     blob: the checksum is public) is SnapshotCorruptError as well.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -57,57 +58,11 @@ class SnapshotCorruptError : public SnapshotError {
   explicit SnapshotCorruptError(const std::string& what) : SnapshotError(what) {}
 };
 
-// One serializable learned-state component. Implementations: the learning
-// engine's resolved-wildcard and dependency-flow facets, the policy value
-// model, per-signature scheduler stats (see DESIGN.md §5k for the catalog).
-class Persistable {
- public:
-  virtual ~Persistable() = default;
-
-  // Stable section name, e.g. "learning.wildcards".
-  virtual std::string_view section_name() const = 0;
-  // Version of the payload persist() writes; restore() must accept any
-  // version <= this and may be handed older payloads.
-  virtual std::uint32_t section_version() const = 0;
-
-  virtual void persist(ByteWriter& out) const = 0;
-  // `version` is the section version the payload was written with (always
-  // <= section_version(); newer payloads never reach restore()).
-  virtual void restore(ByteReader& in, std::uint32_t version) = 0;
-};
-
-// Adapter for components that are facets of a larger object (one object,
-// several sections) or engine-level closures over per-user state.
-class PersistableFn final : public Persistable {
- public:
-  using Save = std::function<void(ByteWriter&)>;
-  using Load = std::function<void(ByteReader&, std::uint32_t)>;
-
-  PersistableFn(std::string name, std::uint32_t version, Save save, Load load)
-      : name_(std::move(name)), version_(version), save_(std::move(save)),
-        load_(std::move(load)) {}
-
-  std::string_view section_name() const override { return name_; }
-  std::uint32_t section_version() const override { return version_; }
-  void persist(ByteWriter& out) const override { save_(out); }
-  void restore(ByteReader& in, std::uint32_t version) override {
-    if (load_) load_(in, version);
-  }
-
- private:
-  std::string name_;
-  std::uint32_t version_;
-  Save save_;
-  Load load_;
-};
-
 // Accumulates sections and renders the container.
 class SnapshotBuilder {
  public:
-  void add(const Persistable& component);
   void add_raw(std::string_view name, std::uint32_t version, const ByteWriter& payload);
 
-  std::size_t section_count() const { return sections_.size(); }
   // Render the container (magic, version, table, checksum). The builder can
   // keep accumulating and finish() again; each call re-renders.
   std::vector<std::uint8_t> finish() const;
@@ -139,15 +94,32 @@ class SnapshotView {
   std::uint32_t container_version() const { return container_version_; }
   std::size_t section_count() const { return sections_.size(); }
   const Section* find(std::string_view name) const;
-  const std::map<std::string, Section, std::less<>>& sections() const { return sections_; }
 
-  // Restore one component from its section. Returns false — leaving the
-  // component untouched (cold) — when the section is absent or carries a
-  // version newer than the component supports. Decode errors inside the
-  // payload surface as SnapshotCorruptError.
-  bool restore_into(Persistable& component) const;
+  // Decode section `name` with `read(ByteReader&, std::uint32_t version)`.
+  // Returns false without calling `read` — the state it feeds stays cold —
+  // when the section is absent or was written by a revision newer than
+  // `supported`. Any decode error surfaces as SnapshotCorruptError.
+  template <typename Decode>
+  bool decode(std::string_view name, std::uint32_t supported, Decode&& read) const {
+    const Section* section = readable(name, supported);
+    if (section == nullptr) return false;
+    ByteReader in(section->data, section->size);
+    try {
+      read(in, section->version);
+    } catch (const SnapshotError&) {
+      throw;
+    } catch (const Error& e) {
+      throw_undecodable(name, e);
+    }
+    return true;
+  }
 
  private:
+  // The section if present and no newer than `supported` (a newer one is
+  // logged: that component restarts cold).
+  const Section* readable(std::string_view name, std::uint32_t supported) const;
+  [[noreturn]] static void throw_undecodable(std::string_view name, const Error& e);
+
   std::uint32_t container_version_ = 0;
   std::map<std::string, Section, std::less<>> sections_;
 };

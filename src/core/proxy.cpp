@@ -9,32 +9,17 @@
 namespace appx::core {
 
 ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* config,
-                         std::uint64_t seed)
-    : ProxyEngine(signatures, config,
-                  [&] {
-                    if (config == nullptr) throw InvalidArgumentError("ProxyEngine: null config");
-                    EngineOptions options = EngineOptions::from_config(*config);
-                    options.seed = seed;
-                    return options;
-                  }()) {}
-
-ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* config,
-                         EngineOptions options, obs::MetricsRegistry* registry,
-                         std::uint32_t shard_index, policy::SignatureModel* shared_model)
+                         EngineOptions options, obs::MetricsRegistry& reg,
+                         std::uint32_t shard_index, policy::SignatureModel& model)
     : signatures_(signatures),
       config_(config),
       options_(std::move(options)),
       shard_index_(shard_index),
       seed_(options_.seed),
-      sig_model_(shared_model != nullptr ? shared_model : &own_sig_model_),
-      admission_(options_.policy),
-      registry_(registry != nullptr ? registry : &own_registry_) {
-  if (signatures == nullptr) throw InvalidArgumentError("ProxyEngine: null signature set");
-  if (config == nullptr) throw InvalidArgumentError("ProxyEngine: null config");
-  options_.validate().throw_if_error();
+      sig_model_(model),
+      admission_(options_.policy) {
   ignored_headers_ = config->all_added_header_names();
 
-  obs::MetricsRegistry& reg = *registry_;
   inst_.client_requests = &reg.counter("appx_proxy_client_requests_total");
   inst_.cache_hits = &reg.counter("appx_proxy_cache_hits_total");
   inst_.cache_expired = &reg.counter("appx_proxy_cache_expired_total");
@@ -77,17 +62,7 @@ ProxyEngine::ProxyEngine(const SignatureSet* signatures, const ProxyConfig* conf
   inst_.policy_threshold = &reg.gauge("appx_policy_threshold");
   inst_.prefetch_response_time_us = &reg.histogram("appx_prefetch_response_time_us");
 
-  sig_stats_.bind_registry(registry_);
-
-  // Shards sharing a registry each register these callbacks against their own
-  // counters (last registration wins); a ShardedProxyEngine then overwrites
-  // them with fleet-wide sums.
-  reg.gauge_callback("appx_sigindex_lookups_total",
-                     [this] { return dispatch_.lookups.load(std::memory_order_relaxed); });
-  reg.gauge_callback("appx_sigindex_candidates_total",
-                     [this] { return dispatch_.candidates.load(std::memory_order_relaxed); });
-  reg.gauge_callback("appx_sigindex_confirmed_total",
-                     [this] { return dispatch_.confirmed.load(std::memory_order_relaxed); });
+  sig_stats_.bind_registry(&reg);
 }
 
 UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
@@ -118,14 +93,14 @@ UserId ProxyEngine::resolve_user(std::string_view user, SimTime now) {
       [this, state_ptr](std::string_view sig_id, Bytes bytes) {
         state_ptr->pacer.refund_hit(bytes);
         if (options_.policy.enabled && !sig_id.empty()) {
-          sig_model_->on_first_use(app_of(sig_id), sig_id);
+          sig_model_.on_first_use(app_of(sig_id), sig_id);
         }
       },
       [this](std::string_view sig_id, Bytes bytes) {
         inst_.wasted_entries->inc();
         inst_.wasted_bytes->add(bytes);
         if (options_.policy.enabled && !sig_id.empty()) {
-          sig_model_->on_wasted(app_of(sig_id), sig_id, bytes);
+          sig_model_.on_wasted(app_of(sig_id), sig_id, bytes);
         }
       }});
   s.state->scheduler.bind_metrics(
@@ -163,7 +138,6 @@ void ProxyEngine::release_slot(std::uint32_t slot) {
   ++slots_[slot].generation;  // invalidate outstanding UserIds for this slot
   free_slots_.push_back(slot);
   inst_.users->sub(1);
-  inst_.users_evicted->inc();
 }
 
 void ProxyEngine::evict_idle_users(SimTime now, std::uint32_t keep_slot) {
@@ -173,6 +147,7 @@ void ProxyEngine::evict_idle_users(SimTime now, std::uint32_t keep_slot) {
       if (slot != keep_slot &&
           now - slots_[slot].state->last_active >= *options_.user_idle_timeout) {
         release_slot(slot);
+        inst_.users_evicted->inc();
         it = users_.erase(it);
       } else {
         ++it;
@@ -193,6 +168,7 @@ void ProxyEngine::evict_idle_users(SimTime now, std::uint32_t keep_slot) {
     }
     if (victim == users_.end()) break;  // only the new arrival is left
     release_slot(victim->second);
+    inst_.users_evicted->inc();
     users_.erase(victim);
   }
 }
@@ -282,16 +258,16 @@ void ProxyEngine::on_prefetch_response(UserId& user, const PrefetchJob& job,
   auto expiry = config_->expiration(job.sig_id);
   if (options_.policy.enabled) {
     const std::string_view app = app_of(job.sig_id);
-    sig_model_->on_prefetched(app, job.sig_id, response.wire_size(), response_time_ms);
+    sig_model_.on_prefetched(app, job.sig_id, response.wire_size(), response_time_ms);
     if (options_.policy.learn_expiry) {
       // One content sample per cached prefetch: a same-key re-fetch whose
       // body changed refines this signature's TTL online (§4.3's probing,
       // continued at run time).
       const std::uint64_t body_hash = hash_combine(
           fnv1a(response.body.view()), static_cast<std::uint64_t>(response.opaque_payload));
-      sig_model_->observe_content(app, job.sig_id, fnv1a(job.cache_key), body_hash, now);
+      sig_model_.observe_content(app, job.sig_id, fnv1a(job.cache_key), body_hash, now);
       if (const auto learned =
-              sig_model_->learned_expiry(app, job.sig_id, options_.policy.min_learned_expiry)) {
+              sig_model_.learned_expiry(app, job.sig_id, options_.policy.min_learned_expiry)) {
         expiry = expiry ? std::min(*expiry, *learned) : *learned;
       }
     }
@@ -351,7 +327,7 @@ void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> 
       // Value-based admission + budget pacing (DESIGN.md §5j): issue only
       // when the expected saving per byte clears the adaptive threshold and
       // the token bucket has room for the expected size.
-      const policy::Estimate estimate = sig_model_->estimate(rp.signature->app, sig_id);
+      const policy::Estimate estimate = sig_model_.estimate(rp.signature->app, sig_id);
       if (!admission_.admit(estimate)) {
         inst_.policy_rejected_value->inc();
         continue;
@@ -404,7 +380,7 @@ void ProxyEngine::admit_prefetches(UserState& state, std::vector<ReadyPrefetch> 
       inst_.policy_admitted->inc();
       // Issue-time feedback: the batch's own admissions lower p_use for
       // signatures with no proven uses, so one fan-out burst self-limits.
-      sig_model_->on_issued(rp.signature->app, sig_id);
+      sig_model_.on_issued(rp.signature->app, sig_id);
     }
     if (auto evicted = state.scheduler.enqueue(std::move(job), sig_stats_)) {
       // The bounded queue shed its lowest-priority job before issue: release
@@ -454,17 +430,14 @@ const ProxyStats& ProxyEngine::stats() const {
   return stats_view_;
 }
 
-// --- durable learned state (DESIGN.md §5k) -----------------------------------
-
 std::string_view ProxyEngine::app_of(std::string_view sig_id) const {
   const TransactionSignature* sig = signatures_->find(sig_id);
   return sig == nullptr ? std::string_view{} : std::string_view(sig->app);
 }
 
-void ProxyEngine::persist_user_entry(const std::string& name, const UserState& state,
-                                     ByteWriter& out) const {
-  out.str(name);
-  ByteWriter payload;
+// --- durable learned state (DESIGN.md §5k) -----------------------------------
+
+void ProxyEngine::persist_user(const UserState& state, ByteWriter& payload) const {
   payload.u64(state.prefetch_bytes_used);
   // Each learning facet is framed with its own version + length so a future
   // facet revision can evolve without bumping the "users" section framing.
@@ -478,117 +451,49 @@ void ProxyEngine::persist_user_entry(const std::string& name, const UserState& s
   payload.u32(LearningEngine::kFlowsPersistVersion);
   payload.u64(flows.size());
   payload.raw(flows.data().data(), flows.size());
-  out.u64(payload.size());
-  out.raw(payload.data().data(), payload.size());
 }
 
-void ProxyEngine::persist_user_entries(ByteWriter& out) const {
-  for (const auto& [name, slot] : users_) {
-    persist_user_entry(name, *slots_[slot].state, out);
-  }
-}
-
-void ProxyEngine::restore_user_entry(std::string_view name, ByteReader& entry,
-                                     std::uint32_t version, SimTime now) {
-  (void)version;  // "users" v1 is the only framing so far
-  UserId id = resolve_user(name, now);
-  UserState& state = *slots_[id.slot()].state;
-  state.prefetch_bytes_used = entry.u64();
-  const std::uint32_t wildcards_version = entry.u32();
-  const std::uint64_t wildcards_len = entry.u64();
-  const std::uint8_t* wildcards_data = entry.cursor();
-  entry.skip(wildcards_len);
-  if (wildcards_version <= LearningEngine::kWildcardsPersistVersion) {
-    ByteReader in(wildcards_data, wildcards_len);
-    state.learning.restore_wildcards(in, wildcards_version);
-  }
-  const std::uint32_t flows_version = entry.u32();
-  const std::uint64_t flows_len = entry.u64();
-  const std::uint8_t* flows_data = entry.cursor();
-  entry.skip(flows_len);
-  if (flows_version <= LearningEngine::kFlowsPersistVersion) {
-    ByteReader in(flows_data, flows_len);
-    state.learning.restore_flows(in, flows_version);
-  }
-}
-
-void ProxyEngine::persist_sig_stats_to(SnapshotBuilder& builder) const {
-  ByteWriter payload;
-  sig_stats_.persist(payload);
-  builder.add_raw("scheduler.sig_stats/" + std::to_string(shard_index_),
-                  SignatureStats::kPersistVersion, payload);
-}
-
-void ProxyEngine::restore_sig_stats_from(const SnapshotView& view) {
-  const std::string name = "scheduler.sig_stats/" + std::to_string(shard_index_);
-  const SnapshotView::Section* section = view.find(name);
-  if (section == nullptr || section->version > SignatureStats::kPersistVersion) return;
-  ByteReader in(section->data, section->size);
-  sig_stats_.restore(in, section->version);
-}
-
-void ProxyEngine::snapshot_to(SnapshotBuilder& builder) const {
-  ByteWriter users;
-  users.u32(static_cast<std::uint32_t>(users_.size()));
-  persist_user_entries(users);
-  builder.add_raw("users", kUsersSectionVersion, users);
-  if (owns_sig_model()) {
-    ByteWriter model;
-    own_sig_model_.persist(model);
-    builder.add_raw("policy.model", policy::SignatureModel::kPersistVersion, model);
-  }
-  persist_sig_stats_to(builder);
-}
-
-std::size_t ProxyEngine::restore_from(const SnapshotView& view, SimTime now) {
-  std::size_t restored = 0;
-  const SnapshotView::Section* users = view.find("users");
-  if (users != nullptr && users->version <= kUsersSectionVersion) {
-    ByteReader in(users->data, users->size);
-    const std::uint32_t count = in.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::string name = in.str();
-      const std::uint64_t len = in.u64();
-      const std::uint8_t* data = in.cursor();
-      in.skip(len);
-      ByteReader entry(data, len);
-      restore_user_entry(name, entry, users->version, now);
-      ++restored;
-    }
-  }
-  if (owns_sig_model()) {
-    const SnapshotView::Section* model = view.find("policy.model");
-    if (model != nullptr && model->version <= policy::SignatureModel::kPersistVersion) {
-      ByteReader in(model->data, model->size);
-      own_sig_model_.restore(in, model->version, now);
-    }
-  }
-  restore_sig_stats_from(view);
-  return restored;
-}
-
-std::vector<std::uint8_t> ProxyEngine::export_user(std::string_view user) const {
+bool ProxyEngine::persist_user(std::string_view user, ByteWriter& payload) const {
   const auto it = users_.find(user);
-  if (it == users_.end()) return {};
-  ByteWriter entry;
-  persist_user_entry(it->first, *slots_[it->second].state, entry);
-  SnapshotBuilder builder;
-  builder.add_raw("user", kUsersSectionVersion, entry);
-  return builder.finish();
+  if (it == users_.end()) return false;
+  persist_user(*slots_[it->second].state, payload);
+  return true;
 }
 
-bool ProxyEngine::import_user(const std::vector<std::uint8_t>& blob, SimTime now) {
-  const SnapshotView view(blob);
-  const SnapshotView::Section* section = view.find("user");
-  if (section == nullptr || section->version > kUsersSectionVersion) return false;
-  ByteReader in(section->data, section->size);
-  const std::string name = in.str();
-  const std::uint64_t len = in.u64();
-  const std::uint8_t* data = in.cursor();
-  in.skip(len);
-  ByteReader entry(data, len);
-  restore_user_entry(name, entry, section->version, now);
-  return true;
+bool ProxyEngine::restore_user(std::string_view user, ByteReader& payload, SimTime now) {
+  const bool created = !users_.contains(user);
+  const UserId id = resolve_user(user, now);
+  UserState& state = *slots_[id.slot()].state;
+  try {
+    state.prefetch_bytes_used = payload.u64();
+    const std::uint32_t wildcards_version = payload.u32();
+    const std::uint64_t wildcards_len = payload.u64();
+    const std::uint8_t* wildcards_data = payload.cursor();
+    payload.skip(wildcards_len);
+    if (wildcards_version <= LearningEngine::kWildcardsPersistVersion) {
+      ByteReader in(wildcards_data, wildcards_len);
+      state.learning.restore_wildcards(in, wildcards_version);
+    }
+    const std::uint32_t flows_version = payload.u32();
+    const std::uint64_t flows_len = payload.u64();
+    const std::uint8_t* flows_data = payload.cursor();
+    payload.skip(flows_len);
+    if (flows_version <= LearningEngine::kFlowsPersistVersion) {
+      ByteReader in(flows_data, flows_len);
+      state.learning.restore_flows(in, flows_version);
+    }
+  } catch (...) {
+    if (created) forget_user(user);
+    throw;
+  }
+  return created;
+}
+
+void ProxyEngine::forget_user(std::string_view user) {
+  const auto it = users_.find(user);
+  if (it == users_.end()) return;
+  release_slot(it->second);
+  users_.erase(it);
 }
 
 const LearningEngine* ProxyEngine::learning_for(const std::string& user) const {

@@ -1,19 +1,21 @@
 // The acceleration proxy engine (paper §4.5, Fig. 10) — one shard.
 //
 // Transport-agnostic: the engine consumes observed events (client request,
-// origin response, prefetch response) through the session API (core/session
-// .hpp) and fills Decisions (serve-from-cache or forward; prefetch jobs to
-// issue). The simulator — or a real socket front end — owns the wire.
+// origin response, prefetch response) with the session API's contracts (core/
+// session.hpp) and fills Decisions (serve-from-cache or forward; prefetch jobs
+// to issue). The simulator — or a real socket front end — owns the wire.
 //
 // Per-user isolation: prefetched responses and learned run-time state are
 // never shared across users (paper §2/§5: "prefetched responses are not
 // shared across users, and the prototype distinguishes users by IP").
 //
-// A ProxyEngine is NOT thread-safe; it is either driven single-threaded or
-// wrapped as one shard of a ShardedProxyEngine (core/sharded_proxy.hpp),
-// which gives each shard its own mutex. User state lives in a slot table so
-// a resolved UserId routes events in O(1); evicting a user recycles its slot
-// under a bumped generation (see core/user_id.hpp).
+// A ProxyEngine is one shard of a ShardedProxyEngine (core/sharded_proxy.hpp),
+// the APPx engine that front ends host. Only ShardedProxyEngine constructs
+// shards. It owns the metrics registry and the per-app value model that all
+// shards share, serialises each shard's events behind that shard's mutex,
+// and frames the shards' learned state into snapshot sections. User state
+// lives in a slot table so a resolved UserId routes events in O(1); evicting
+// a user recycles its slot under a bumped generation (see core/user_id.hpp).
 #pragma once
 
 #include <map>
@@ -28,7 +30,6 @@
 #include "core/config.hpp"
 #include "core/engine_options.hpp"
 #include "core/learning.hpp"
-#include "core/persist.hpp"
 #include "core/scheduler.hpp"
 #include "core/session.hpp"
 #include "core/signature.hpp"
@@ -36,83 +37,65 @@
 #include "policy/admission.hpp"
 #include "policy/model.hpp"
 #include "policy/pacer.hpp"
+#include "util/byte_io.hpp"
 #include "util/units.hpp"
 
 namespace appx::core {
 
-class ProxyEngine final : public ProxyLike {
+class ProxyEngine {
  public:
-  // `signatures` and `config` must outlive the engine. Runtime caps are
-  // snapshotted from `config` via EngineOptions::from_config.
-  ProxyEngine(const SignatureSet* signatures, const ProxyConfig* config,
-              std::uint64_t seed = 1);
-  // Full control: explicit options (validated here), optionally a shared
-  // metrics registry (a ShardedProxyEngine passes one registry to all its
-  // shards; metric updates are deltas, so contributions aggregate), this
-  // engine's shard index (stamped into minted UserIds) and optionally a
-  // shared per-app value model (a ShardedProxyEngine passes one model to all
-  // shards so signature evidence pools fleet-wide; it must outlive the
-  // engine). Without one the engine owns a private model.
-  ProxyEngine(const SignatureSet* signatures, const ProxyConfig* config,
-              EngineOptions options, obs::MetricsRegistry* registry = nullptr,
-              std::uint32_t shard_index = 0,
-              policy::SignatureModel* shared_model = nullptr);
+  // --- session API (core/session.hpp contracts; the caller serialises) ------
 
-  // --- session API (see core/session.hpp for contracts) ---------------------
-
-  UserId resolve_user(std::string_view user, SimTime now) override;
-  void on_request(UserId& user, const http::Request& request, SimTime now,
-                  Decision* out) override;
+  UserId resolve_user(std::string_view user, SimTime now);
+  void on_request(UserId& user, const http::Request& request, SimTime now, Decision* out);
   void on_response(UserId& user, const http::Request& request, const http::Response& response,
-                   SimTime now, Decision* out) override;
+                   SimTime now, Decision* out);
   void on_prefetch_response(UserId& user, const PrefetchJob& job,
                             const http::Response& response, SimTime now,
-                            double response_time_ms, Decision* out) override;
-  void on_prefetch_dropped(UserId& user, const PrefetchJob& job, SimTime now) override;
-  void pump(UserId& user, SimTime now, Decision* out) override;
+                            double response_time_ms, Decision* out);
+  void on_prefetch_dropped(UserId& user, const PrefetchJob& job, SimTime now);
+  void pump(UserId& user, SimTime now, Decision* out);
 
   // --- durable learned state (DESIGN.md §5k) --------------------------------
   //
-  // Sections this engine writes: "users" (per-user learned state: resolved
-  // wildcards, dependency-flow instances, budget spend), "policy.model" (only
-  // when the engine owns its value model — with a shared model the owner
-  // snapshots it once) and "scheduler.sig_stats/<shard>" (per-shard advisory
-  // priority stats). Cache bodies and scheduler queues are deliberately NOT
-  // persisted: a restart comes back with a cold cache but warm models, and
-  // restored flow instances re-issue their prefetches on the next relevant
-  // observation.
-  static constexpr std::uint32_t kUsersSectionVersion = 1;
-  void snapshot_to(SnapshotBuilder& builder) const override;
-  std::size_t restore_from(const SnapshotView& view, SimTime now) override;
-  std::vector<std::uint8_t> export_user(std::string_view user) const override;
-  bool import_user(const std::vector<std::uint8_t>& blob, SimTime now) override;
+  // A user's entry payload: budget spend, then the resolved-wildcard and
+  // dependency-flow facets, each framed with its own version and length.
+  // ShardedProxyEngine frames the payloads into snapshot sections. Cache
+  // bodies and scheduler queues are deliberately NOT persisted: a restart
+  // comes back with a cold cache but warm models, and restored flow instances
+  // re-issue their prefetches on the next relevant observation.
 
-  // Sharded-engine plumbing: the wrapper merges every shard's user entries
-  // into ONE "users" section (so restore can re-route users across a changed
-  // shard layout) and lets each shard keep its own sig-stats section.
-  void persist_user_entries(ByteWriter& out) const;
-  void restore_user_entry(std::string_view name, ByteReader& entry, std::uint32_t version,
-                          SimTime now);
-  void persist_sig_stats_to(SnapshotBuilder& builder) const;
-  void restore_sig_stats_from(const SnapshotView& view);
-  bool owns_sig_model() const { return sig_model_ == &own_sig_model_; }
+  // Calls visit(name, payload) for every resident user, in name order.
+  template <typename Visit>
+  void persist_users(Visit&& visit) const {
+    for (const auto& [name, slot] : users_) {
+      ByteWriter payload;
+      persist_user(*slots_[slot].state, payload);
+      visit(name, payload);
+    }
+  }
+  // One user's payload; false (nothing written) when the user is not resident.
+  bool persist_user(std::string_view user, ByteWriter& payload) const;
+  // Merge a payload into the user's state, creating the user if needed;
+  // returns whether it did. A payload that fails to decode throws and leaves
+  // no user this call created.
+  bool restore_user(std::string_view user, ByteReader& payload, SimTime now);
+  // Drop a resident user's state (undoing a restore that created it).
+  void forget_user(std::string_view user);
+  // This shard's advisory per-signature priority stats.
+  void persist_sig_stats(ByteWriter& out) const { sig_stats_.persist(out); }
+  void restore_sig_stats(ByteReader& in, std::uint32_t version) {
+    sig_stats_.restore(in, version);
+  }
 
   // --- introspection --------------------------------------------------------
 
-  // Compatibility snapshot of the metrics registry. Repeated calls refresh
-  // the same object, so a held reference stays valid and re-reads the
-  // registry on the next stats() call.
-  const ProxyStats& stats() const override;
+  // Compatibility snapshot of the shared metrics registry (fleet-wide, since
+  // every shard contributes deltas). Repeated calls refresh the same object,
+  // so a held reference stays valid and re-reads the registry on the next
+  // stats() call.
+  const ProxyStats& stats() const;
   const SignatureStats& signature_stats() const { return sig_stats_; }
-
-  // The registry behind stats(): every ProxyStats field plus per-signature
-  // breakdowns, latency histograms and signature-index effectiveness. Safe to
-  // export from another thread (all metric updates are atomic), but metrics
-  // derived from engine structures (user count gauge) are only as fresh as
-  // the last engine event. Shared with sibling shards when the engine was
-  // constructed with an external registry.
-  obs::MetricsRegistry* metrics() override { return registry_; }
-  const obs::MetricsRegistry* metrics() const { return registry_; }
 
   const EngineOptions& options() const { return options_; }
   // The signature set this engine matches against (not owned).
@@ -125,6 +108,16 @@ class ProxyEngine final : public ProxyLike {
   std::size_t user_count() const { return users_.size(); }
 
  private:
+  friend class ShardedProxyEngine;
+  // `signatures`, `config`, `registry` and `model` must outlive the shard;
+  // `options` were validated by the owner. `registry` and `model` are shared
+  // with the sibling shards: metric updates are deltas, so contributions
+  // aggregate, and signature evidence pools fleet-wide. `shard_index` is
+  // stamped into the UserIds this shard mints.
+  ProxyEngine(const SignatureSet* signatures, const ProxyConfig* config, EngineOptions options,
+              obs::MetricsRegistry& registry, std::uint32_t shard_index,
+              policy::SignatureModel& model);
+
   struct UserState {
     UserState(const SignatureSet* signatures, const ProxyConfig& config,
               const EngineOptions& options, DispatchCounters* dispatch)
@@ -169,9 +162,7 @@ class ProxyEngine final : public ProxyLike {
   UserState& state_for(UserId& id, SimTime now);
   // App owning a signature (for the per-app value model); empty if unknown.
   std::string_view app_of(std::string_view sig_id) const;
-  // One `str name | u64 len | payload` user entry (snapshot + handoff unit).
-  void persist_user_entry(const std::string& name, const UserState& state,
-                          ByteWriter& out) const;
+  void persist_user(const UserState& state, ByteWriter& payload) const;
   void release_slot(std::uint32_t slot);
   void evict_idle_users(SimTime now, std::uint32_t keep_slot);
   void admit_prefetches(UserState& state, std::vector<ReadyPrefetch> ready, SimTime now);
@@ -227,22 +218,15 @@ class ProxyEngine final : public ProxyLike {
   DispatchCounters dispatch_;
   std::vector<std::string> ignored_headers_;  // config add_header names
   // Reused cache-key buffer (DESIGN.md §5h): engine events are serialized
-  // per instance (external mutex, or per-shard mutex when sharded), so the
-  // hit path renders its lookup key without allocating.
+  // per shard (the shard's mutex), so the hit path renders its lookup key
+  // without allocating.
   std::string key_scratch_;
   std::uint32_t shard_index_ = 0;
   std::uint64_t seed_;
-  // Cost-aware policy state (DESIGN.md §5j), keyed per app and possibly
-  // shared with sibling shards (see the constructor). Must be declared before
-  // slots_: per-user cache destructors fire waste hooks into the model.
-  policy::SignatureModel own_sig_model_;
-  policy::SignatureModel* sig_model_ = nullptr;
+  // Cost-aware policy state (DESIGN.md §5j), keyed per app and shared with
+  // the sibling shards.
+  policy::SignatureModel& sig_model_;
   policy::AdmissionController admission_;
-  // Backs registry_ when no external registry was supplied. Must outlive
-  // slots_: per-user caches and schedulers hold raw pointers into the
-  // registry and give back their gauge contributions on destruction.
-  obs::MetricsRegistry own_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
   Instruments inst_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -1,5 +1,5 @@
-// Session-oriented engine surface shared by the APPx engine, the sharded
-// runtime and the baseline prefetchers.
+// Session-oriented engine surface shared by the APPx engine
+// (ShardedProxyEngine) and the baseline prefetchers.
 //
 // A front end (live server, simulator testbed) resolves a connection's user
 // once — ProxyLike::resolve_user -> UserId — and then drives events through a
@@ -94,7 +94,7 @@ class SnapshotBuilder;
 class SnapshotView;
 
 // Shared shape of the proxy engines so any front end can host any of them.
-// Implementations: ProxyEngine (one shard), ShardedProxyEngine (N shards,
+// Implementations: ShardedProxyEngine (the APPx engine: N ProxyEngine shards,
 // thread-safe), LooxyEngine / StaticOnlyEngine (baselines, §7).
 class ProxyLike {
  public:
@@ -138,8 +138,8 @@ class ProxyLike {
   virtual void pump(UserId& user, SimTime now, Decision* out);
 
   // True when events for different users may be driven concurrently without
-  // external locking (ShardedProxyEngine). Single-shard engines and the
-  // baselines require the caller to serialise access.
+  // external locking (ShardedProxyEngine). The baselines require the caller
+  // to serialise access.
   virtual bool thread_safe() const { return false; }
 
   // --- durable learned state (DESIGN.md §5k) --------------------------------

@@ -27,15 +27,13 @@ ShardedProxyEngine::ShardedProxyEngine(const SignatureSet* signatures,
     // deterministic because its shard assignment is a pure hash.
     shard_options.seed = options.seed ^ static_cast<std::uint64_t>(i);
     auto shard = std::make_unique<Shard>();
-    shard->engine = std::make_unique<ProxyEngine>(signatures, config,
-                                                  std::move(shard_options), &registry_,
-                                                  static_cast<std::uint32_t>(i), &sig_model_);
+    shard->engine.reset(new ProxyEngine(signatures, config, std::move(shard_options), registry_,
+                                        static_cast<std::uint32_t>(i), sig_model_));
     shards_.push_back(std::move(shard));
   }
-  // Each shard's engine registered the sigindex gauge callbacks against its
-  // own counters (last registration wins); replace them with fleet-wide sums
-  // so /appx/metrics reports dispatch-index totals across all shards. Each
-  // counter is a relaxed atomic, so a scrape thread may read them any time.
+  // /appx/metrics reports dispatch-index totals summed over the shards' own
+  // counters. Each counter is a relaxed atomic, so a scrape thread may read
+  // them any time.
   const auto sum_over_shards = [this](std::atomic<std::int64_t> DispatchCounters::*field) {
     return [this, field]() {
       std::int64_t total = 0;
@@ -109,79 +107,113 @@ void ShardedProxyEngine::pump(UserId& user, SimTime now, Decision* out) {
 
 // --- durable learned state (DESIGN.md §5k) -----------------------------------
 
+namespace {
+
+void write_entry(ByteWriter& out, std::string_view name, const ByteWriter& payload) {
+  out.str(name);
+  out.u64(payload.size());
+  out.raw(payload.data().data(), payload.size());
+}
+
+std::string sig_stats_section(std::size_t shard) {
+  return "scheduler.sig_stats/" + std::to_string(shard);
+}
+
+}  // namespace
+
 void ShardedProxyEngine::snapshot_to(SnapshotBuilder& builder) const {
-  // Merge every shard's user entries into ONE section so restore can route
-  // users by hash under any shard layout. Entries are collected per shard
-  // under that shard's lock; the fleet keeps serving while one shard dumps.
-  ByteWriter users;
+  // Entries are collected per shard under that shard's lock; the fleet keeps
+  // serving while one shard dumps.
   std::vector<ByteWriter> entries(shards_.size());
   std::uint32_t total = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const std::lock_guard<std::mutex> lock(shards_[i]->mutex);
-    total += static_cast<std::uint32_t>(shards_[i]->engine->user_count());
-    shards_[i]->engine->persist_user_entries(entries[i]);
+    shards_[i]->engine->persist_users([&](std::string_view name, const ByteWriter& payload) {
+      write_entry(entries[i], name, payload);
+      ++total;
+    });
   }
+  ByteWriter users;
   users.u32(total);
   for (const ByteWriter& w : entries) users.raw(w.data().data(), w.size());
-  builder.add_raw("users", ProxyEngine::kUsersSectionVersion, users);
+  builder.add_raw("users", kUsersSectionVersion, users);
 
   ByteWriter model;
   sig_model_.persist(model);
   builder.add_raw("policy.model", policy::SignatureModel::kPersistVersion, model);
 
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->engine->persist_sig_stats_to(builder);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    ByteWriter stats;
+    {
+      const std::lock_guard<std::mutex> lock(shards_[i]->mutex);
+      shards_[i]->engine->persist_sig_stats(stats);
+    }
+    builder.add_raw(sig_stats_section(i), SignatureStats::kPersistVersion, stats);
   }
+}
+
+std::optional<std::string> ShardedProxyEngine::restore_entry(ByteReader& in, SimTime now) {
+  std::string name = in.str();
+  const std::uint64_t len = in.u64();
+  const std::uint8_t* data = in.cursor();
+  in.skip(len);
+  ByteReader payload(data, len);
+  Shard& shard = *shards_[shard_index_for(name)];
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  if (!shard.engine->restore_user(name, payload, now)) return std::nullopt;
+  return name;
 }
 
 std::size_t ShardedProxyEngine::restore_from(const SnapshotView& view, SimTime now) {
   std::size_t restored = 0;
-  const SnapshotView::Section* users = view.find("users");
-  if (users != nullptr && users->version <= ProxyEngine::kUsersSectionVersion) {
-    ByteReader in(users->data, users->size);
-    const std::uint32_t count = in.u32();
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::string name = in.str();
-      const std::uint64_t len = in.u64();
-      const std::uint8_t* data = in.cursor();
-      in.skip(len);
-      ByteReader entry(data, len);
+  std::vector<std::string> created;
+  try {
+    view.decode("users", kUsersSectionVersion, [&](ByteReader& in, std::uint32_t) {
+      const std::uint32_t count = in.u32();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        if (auto name = restore_entry(in, now)) created.push_back(std::move(*name));
+        ++restored;
+      }
+    });
+    view.decode("policy.model", policy::SignatureModel::kPersistVersion,
+                [&](ByteReader& in, std::uint32_t version) {
+                  sig_model_.restore(in, version, now);
+                });
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const std::lock_guard<std::mutex> lock(shards_[i]->mutex);
+      view.decode(sig_stats_section(i), SignatureStats::kPersistVersion,
+                  [&](ByteReader& in, std::uint32_t version) {
+                    shards_[i]->engine->restore_sig_stats(in, version);
+                  });
+    }
+  } catch (...) {
+    for (const std::string& name : created) {
       Shard& shard = *shards_[shard_index_for(name)];
       const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.engine->restore_user_entry(name, entry, users->version, now);
-      ++restored;
+      shard.engine->forget_user(name);
     }
-  }
-  const SnapshotView::Section* model = view.find("policy.model");
-  if (model != nullptr && model->version <= policy::SignatureModel::kPersistVersion) {
-    ByteReader in(model->data, model->size);
-    sig_model_.restore(in, model->version, now);
-  }
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->engine->restore_sig_stats_from(view);
+    throw;
   }
   return restored;
 }
 
 std::vector<std::uint8_t> ShardedProxyEngine::export_user(std::string_view user) const {
-  const Shard& shard = *shards_[shard_index_for(user)];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.engine->export_user(user);
+  ByteWriter payload;
+  {
+    const Shard& shard = *shards_[shard_index_for(user)];
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    if (!shard.engine->persist_user(user, payload)) return {};
+  }
+  ByteWriter entry;
+  write_entry(entry, user, payload);
+  SnapshotBuilder builder;
+  builder.add_raw("user", kUsersSectionVersion, entry);
+  return builder.finish();
 }
 
 bool ShardedProxyEngine::import_user(const std::vector<std::uint8_t>& blob, SimTime now) {
-  // Parse once here to learn the user's name, then route to the owning shard
-  // (which re-validates under its own lock).
-  const SnapshotView view(blob);
-  const SnapshotView::Section* section = view.find("user");
-  if (section == nullptr || section->version > ProxyEngine::kUsersSectionVersion) return false;
-  ByteReader in(section->data, section->size);
-  const std::string name = in.str();
-  Shard& shard = *shards_[shard_index_for(name)];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.engine->import_user(blob, now);
+  return SnapshotView(blob).decode("user", kUsersSectionVersion,
+                                   [&](ByteReader& in, std::uint32_t) { restore_entry(in, now); });
 }
 
 std::size_t ShardedProxyEngine::user_count() const {

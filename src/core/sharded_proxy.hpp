@@ -1,4 +1,6 @@
-// Sharded proxy runtime: N independent ProxyEngines behind one session API.
+// The APPx engine: N independent ProxyEngine shards behind one session API.
+// Every front end (the live server, the simulator testbed, the tools) hosts
+// this class; single-shard runs use EngineOptions::shards = 1.
 //
 // The paper keeps all run-time state per user (§2/§5), which makes the
 // engine embarrassingly shardable: a user's every event touches only its own
@@ -6,7 +8,7 @@
 //
 //   * users are assigned to shards by fnv1a(user) % shard_count (stable, so
 //     a UserId's shard never changes);
-//   * each shard is a full ProxyEngine with its own mutex, its own user
+//   * each shard is a ProxyEngine with its own mutex, its own user
 //     slot table, its own dispatch counters and a probability-coin stream
 //     seeded seed ^ shard;
 //   * all shards match against the caller's ONE signature set: a built set
@@ -25,11 +27,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/engine_options.hpp"
+#include "core/persist.hpp"
 #include "core/proxy.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
@@ -60,11 +64,18 @@ class ShardedProxyEngine final : public ProxyLike {
 
   // --- durable learned state (DESIGN.md §5k) --------------------------------
   //
-  // User entries from EVERY shard merge into one "users" section: restore
-  // re-routes each user by hash, so a snapshot taken under one shard layout
-  // restores cleanly under another (and a single-shard snapshot restores
-  // into a sharded engine). The shared per-app value model is snapshotted
-  // once; per-shard sig stats keep per-shard sections.
+  // Sections, in this order: "users" (u32 count, then one `str name | u64
+  // len | payload` entry per user — see ProxyEngine::persist_users), then
+  // "policy.model" (the shared per-app value model), then
+  // "scheduler.sig_stats/<i>" per shard. An export_user blob holds one
+  // "user" section: a single entry in the same framing. User entries from
+  // EVERY shard merge into the one "users" section and restore re-routes
+  // each user by hash, so a snapshot taken under one shard layout restores
+  // under another, and round-trips byte for byte through it.
+  //
+  // A restore or import that fails (SnapshotError) leaves none of the users
+  // it created; users that already existed keep what was merged into them.
+  static constexpr std::uint32_t kUsersSectionVersion = 1;
   void snapshot_to(SnapshotBuilder& builder) const override;
   std::size_t restore_from(const SnapshotView& view, SimTime now) override;
   std::vector<std::uint8_t> export_user(std::string_view user) const override;
@@ -102,6 +113,9 @@ class ShardedProxyEngine final : public ProxyLike {
   };
 
   Shard& shard_for(const UserId& id) const;
+  // Read one user entry and merge it into the owning shard; returns the name
+  // when the entry created that user.
+  std::optional<std::string> restore_entry(ByteReader& in, SimTime now);
 
   // Declared before shards_: shard engines and their per-user state hold
   // pointers into the registry and deposit gauge deltas on destruction.

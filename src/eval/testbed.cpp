@@ -16,8 +16,11 @@ Testbed::Testbed(const apps::AppSpec* app, const core::SignatureSet* signatures,
   }
   switch (config_.proxy_kind) {
     case ProxyKind::kAppx: {
+      core::EngineOptions options = core::EngineOptions::from_config(effective_config_);
+      options.seed = config_.seed;
+      options.shards = 1;
       auto appx =
-          std::make_unique<core::ProxyEngine>(signatures, &effective_config_, config_.seed);
+          std::make_unique<core::ShardedProxyEngine>(signatures, &effective_config_, options);
       appx_ = appx.get();
       engine_ = std::move(appx);
       break;
@@ -78,7 +81,7 @@ void Testbed::forward_to_origin(const http::Request& request,
   });
 }
 
-core::ProxyEngine& Testbed::proxy() {
+core::ShardedProxyEngine& Testbed::proxy() {
   if (appx_ == nullptr) throw InvalidStateError("Testbed: not running the APPx engine");
   return *appx_;
 }

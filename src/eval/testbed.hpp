@@ -22,7 +22,7 @@
 #include "apps/server.hpp"
 #include "apps/spec.hpp"
 #include "core/baselines.hpp"
-#include "core/proxy.hpp"
+#include "core/sharded_proxy.hpp"
 #include "core/session.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -66,7 +66,7 @@ class Testbed {
   sim::Simulator& sim() { return sim_; }
   // The hosted engine; proxy() is the APPx engine and throws for baselines.
   core::ProxyLike& engine() { return *engine_; }
-  core::ProxyEngine& proxy();
+  core::ShardedProxyEngine& proxy();
   apps::OriginServer& origin() { return origin_; }
   const TestbedConfig& config() const { return config_; }
 
@@ -106,7 +106,7 @@ class Testbed {
   apps::OriginServer origin_;
   core::ProxyConfig effective_config_;
   std::unique_ptr<core::ProxyLike> engine_;
-  core::ProxyEngine* appx_ = nullptr;  // non-null in kAppx mode
+  core::ShardedProxyEngine* appx_ = nullptr;  // non-null in kAppx mode
   std::unique_ptr<sim::Channel> client_channel_;
   std::map<std::string, std::unique_ptr<sim::Channel>> origin_channels_;
   std::map<std::string, core::Session> sessions_;  // resolved once per user

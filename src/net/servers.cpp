@@ -677,8 +677,8 @@ LiveProxyServer::LiveProxyServer(core::ProxyLike* engine, UpstreamMap upstreams,
   if (engine == nullptr) throw InvalidArgumentError("LiveProxyServer: null engine");
   if (!engine->thread_safe()) {
     throw InvalidArgumentError(
-        "LiveProxyServer: engine is not thread-safe (every loop thread calls it); wrap it "
-        "in a ShardedProxyEngine");
+        "LiveProxyServer: engine is not thread-safe (every loop thread calls it); host a "
+        "ShardedProxyEngine");
   }
   options_.validate().throw_if_error();
   // Fail fast on descriptor capacity: a high-connection run that would die

@@ -6,7 +6,7 @@
 #include "apps/catalog.hpp"
 #include "apps/compiler.hpp"
 #include "apps/server.hpp"
-#include "core/proxy.hpp"
+#include "core/sharded_proxy.hpp"
 #include "util/error.hpp"
 
 namespace appx::core {
@@ -26,7 +26,10 @@ struct MultiAppFixture : public ::testing::Test {
         config_.host_apps[ep.host] = app->package;
       }
     }
-    engine_ = std::make_unique<ProxyEngine>(&combined_, &config_, 11);
+    EngineOptions options = EngineOptions::from_config(config_);
+    options.seed = 11;
+    options.shards = 1;
+    engine_ = std::make_unique<ShardedProxyEngine>(&combined_, &config_, options);
   }
 
   // Serve from whichever origin owns the host.
@@ -109,7 +112,7 @@ struct MultiAppFixture : public ::testing::Test {
   apps::OriginServer geek_server_;
   SignatureSet combined_;
   ProxyConfig config_;
-  std::unique_ptr<ProxyEngine> engine_;
+  std::unique_ptr<ShardedProxyEngine> engine_;
   SimTime now_ = 0;
 };
 

@@ -28,6 +28,7 @@
 #include "analysis/analyzer.hpp"
 #include "apps/catalog.hpp"
 #include "apps/compiler.hpp"
+#include "core/baselines.hpp"
 #include "core/sharded_proxy.hpp"
 #include "net/event_loop.hpp"
 #include "net/rlimit.hpp"
@@ -585,8 +586,9 @@ TEST_F(LiveProxyTest, OneUsersPrefetchFanOutRunsConcurrently) {
 }
 
 TEST_F(LiveProxyTest, NonThreadSafeEngineIsRefused) {
-  // Every loop thread calls the engine; a single-shard engine would race.
-  core::ProxyEngine engine(&analysis_.signatures, &config_);
+  // Every loop thread calls the engine; an engine that needs its caller to
+  // serialise access (here a baseline) would race.
+  core::LooxyEngine engine;
   ASSERT_FALSE(engine.thread_safe());
   EXPECT_THROW(LiveProxyServer(&engine, {}), InvalidArgumentError);
 }

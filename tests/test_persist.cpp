@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "core/persist.hpp"
-#include "core/proxy.hpp"
 #include "core/sharded_proxy.hpp"
 #include "util/hash.hpp"
 #include "wish_fixture.hpp"
@@ -19,6 +19,7 @@ using testfix::make_feed_response;
 using testfix::make_product_request;
 using testfix::make_product_response;
 using testfix::make_wish_set;
+using testfix::one_shard;
 
 ByteWriter payload_of(std::string_view text) {
   ByteWriter w;
@@ -118,21 +119,20 @@ TEST(SnapshotContainer, UnknownAndFutureSectionsLeaveComponentsCold) {
   const SnapshotView view(blob);
 
   std::string seen;
-  PersistableFn known("known", 2, [](ByteWriter&) {},
-                      [&seen](ByteReader& in, std::uint32_t version) {
-                        EXPECT_EQ(version, 1u);  // the version it was written with
-                        seen = std::string(reinterpret_cast<const char*>(in.cursor()), 4);
-                      });
-  EXPECT_TRUE(view.restore_into(known));
+  EXPECT_TRUE(view.decode("known", 2, [&seen](ByteReader& in, std::uint32_t version) {
+    EXPECT_EQ(version, 1u);  // the version it was written with
+    seen = std::string(reinterpret_cast<const char*>(in.cursor()), in.remaining());
+  }));
   EXPECT_EQ(seen, "data");
 
   // Same name, but the payload was written by a newer component revision.
-  PersistableFn stale("from.the.future", 2, [](ByteWriter&) {},
-                      [](ByteReader&, std::uint32_t) { FAIL() << "must stay cold"; });
-  EXPECT_FALSE(view.restore_into(stale));
+  EXPECT_FALSE(view.decode("from.the.future", 2, [](ByteReader&, std::uint32_t) {
+    FAIL() << "must stay cold";
+  }));
   // Absent name: cold, not an error.
-  PersistableFn absent("never.written", 1, [](ByteWriter&) {}, {});
-  EXPECT_FALSE(view.restore_into(absent));
+  EXPECT_FALSE(view.decode("never.written", 1, [](ByteReader&, std::uint32_t) {
+    FAIL() << "nothing to decode";
+  }));
 }
 
 TEST(SnapshotContainer, DecodeErrorInsideSectionIsCorrupt) {
@@ -140,9 +140,8 @@ TEST(SnapshotContainer, DecodeErrorInsideSectionIsCorrupt) {
   builder.add_raw("tiny", 1, payload_of("ab"));
   const auto blob = builder.finish();
   const SnapshotView view(blob);
-  PersistableFn overreader("tiny", 1, [](ByteWriter&) {},
-                           [](ByteReader& in, std::uint32_t) { in.u64(); });
-  EXPECT_THROW(view.restore_into(overreader), SnapshotCorruptError);
+  EXPECT_THROW(view.decode("tiny", 1, [](ByteReader& in, std::uint32_t) { in.u64(); }),
+               SnapshotCorruptError);
 }
 
 // --- engine snapshot / restore ---------------------------------------------------
@@ -151,7 +150,7 @@ class PersistEngineTest : public ::testing::Test {
  protected:
   PersistEngineTest() : set_(make_wish_set()), restored_set_(make_wish_set()) {
     config_.default_expiration = seconds(3600);
-    engine_ = std::make_unique<ProxyEngine>(&set_, &config_, 7);
+    engine_ = std::make_unique<ShardedProxyEngine>(&set_, &config_, layout(1));
   }
 
   // Feed + first product: resolves wildcards, learns the dependency flows and
@@ -206,21 +205,28 @@ class PersistEngineTest : public ::testing::Test {
     return builder.finish();
   }
 
+  // Options for an engine of `shards` shards (the fixture's seed and caps).
+  EngineOptions layout(std::size_t shards) const {
+    EngineOptions options = one_shard(config_, 7);
+    options.shards = shards;
+    return options;
+  }
+
   SignatureSet set_;
-  SignatureSet restored_set_;  // restored engines need their own copy
+  SignatureSet restored_set_;  // restored engines match against their own set
   ProxyConfig config_;
-  std::unique_ptr<ProxyEngine> engine_;
+  std::unique_ptr<ShardedProxyEngine> engine_;
 };
 
 TEST_F(PersistEngineTest, WarmRestartActsOnRestoredLearning) {
   teach(*engine_, "u1");
   const auto blob = snapshot(*engine_);
 
-  ProxyEngine fresh(&restored_set_, &config_, 7);
+  ShardedProxyEngine fresh(&restored_set_, &config_, layout(1));
   // Cold control: without the snapshot the sibling product is a miss.
   EXPECT_FALSE(serves_sibling_from_cache(fresh, "u1", minutes(10)));
 
-  ProxyEngine warmed(&restored_set_, &config_, 7);
+  ShardedProxyEngine warmed(&restored_set_, &config_, layout(1));
   const SnapshotView view(blob);
   EXPECT_EQ(warmed.restore_from(view, minutes(10)), 1u);
   EXPECT_TRUE(serves_sibling_from_cache(warmed, "u1", minutes(10)));
@@ -230,7 +236,7 @@ TEST_F(PersistEngineTest, SnapshotRoundTripIsByteIdentical) {
   teach(*engine_, "u1");
   const auto blob = snapshot(*engine_);
 
-  ProxyEngine warmed(&restored_set_, &config_, 7);
+  ShardedProxyEngine warmed(&restored_set_, &config_, layout(1));
   warmed.restore_from(SnapshotView(blob), minutes(10));
   // Persist the restored engine: learned sections must reproduce the exact
   // bytes (resolved wildcards, flows, EWMAs, counters — nothing lossy).
@@ -241,7 +247,7 @@ TEST_F(PersistEngineTest, SnapshotRoundTripIsByteIdentical) {
 TEST_F(PersistEngineTest, RestoreIsMergeNotReplace) {
   teach(*engine_, "u1");
   const auto blob = snapshot(*engine_);
-  ProxyEngine warmed(&restored_set_, &config_, 7);
+  ShardedProxyEngine warmed(&restored_set_, &config_, layout(1));
   teach(warmed, "u2");  // pre-existing local user
   warmed.restore_from(SnapshotView(blob), minutes(10));
   EXPECT_TRUE(serves_sibling_from_cache(warmed, "u1", minutes(10)));
@@ -256,8 +262,8 @@ TEST_F(PersistEngineTest, FutureUsersSectionLeavesUsersCold) {
   SnapshotBuilder future;
   ByteWriter bogus;
   bogus.u32(1);
-  future.add_raw("users", ProxyEngine::kUsersSectionVersion + 1, bogus);
-  ProxyEngine warmed(&restored_set_, &config_, 7);
+  future.add_raw("users", ShardedProxyEngine::kUsersSectionVersion + 1, bogus);
+  ShardedProxyEngine warmed(&restored_set_, &config_, layout(1));
   EXPECT_EQ(warmed.restore_from(SnapshotView(future.finish()), minutes(10)), 0u);
 }
 
@@ -267,7 +273,7 @@ TEST_F(PersistEngineTest, ExportImportHandsUserToAnotherEngine) {
   const std::vector<std::uint8_t> shard = engine_->export_user("mover");
   ASSERT_FALSE(shard.empty());
 
-  ProxyEngine successor(&restored_set_, &config_, 7);
+  ShardedProxyEngine successor(&restored_set_, &config_, layout(1));
   EXPECT_TRUE(successor.import_user(shard, minutes(10)));
   EXPECT_TRUE(serves_sibling_from_cache(successor, "mover", minutes(10)));
 }
@@ -276,7 +282,7 @@ TEST_F(PersistEngineTest, ImportRejectsCorruptBlobsCleanly) {
   teach(*engine_, "mover");
   auto shard = engine_->export_user("mover");
   shard[shard.size() / 2] ^= 0x10;
-  ProxyEngine successor(&restored_set_, &config_, 7);
+  ShardedProxyEngine successor(&restored_set_, &config_, layout(1));
   EXPECT_THROW(successor.import_user(shard, 0), SnapshotCorruptError);
   // The failed import left no trace.
   EXPECT_EQ(successor.user_count(), 0u);
@@ -287,9 +293,7 @@ TEST_F(PersistEngineTest, SingleShardSnapshotRestoresIntoShardedEngine) {
   teach(*engine_, "u2");
   const auto blob = snapshot(*engine_);
 
-  EngineOptions options;
-  options.shards = 3;
-  ShardedProxyEngine fleet(&restored_set_, &config_, options);
+  ShardedProxyEngine fleet(&restored_set_, &config_, layout(3));
   EXPECT_EQ(fleet.restore_from(SnapshotView(blob), minutes(10)), 2u);
   // Users land on whatever shard the fleet's hash picks; both serve warm.
   EXPECT_TRUE(serves_sibling_from_cache(fleet, "u1", minutes(10)));
@@ -297,18 +301,91 @@ TEST_F(PersistEngineTest, SingleShardSnapshotRestoresIntoShardedEngine) {
 }
 
 TEST_F(PersistEngineTest, ShardedSnapshotRestoresIntoSingleEngine) {
-  EngineOptions options;
-  options.shards = 3;
-  ShardedProxyEngine fleet(&set_, &config_, options);
+  ShardedProxyEngine fleet(&set_, &config_, layout(3));
   teach(fleet, "u1");
   teach(fleet, "u2");
   teach(fleet, "u3");
   SnapshotBuilder builder;
   fleet.snapshot_to(builder);
 
-  ProxyEngine single(&restored_set_, &config_, 7);
+  ShardedProxyEngine single(&restored_set_, &config_, layout(1));
   EXPECT_EQ(single.restore_from(SnapshotView(builder.finish()), minutes(10)), 3u);
   EXPECT_TRUE(serves_sibling_from_cache(single, "u2", minutes(10)));
+}
+
+TEST_F(PersistEngineTest, SnapshotSurvivesShardLayoutChangeByteForByte) {
+  teach(*engine_, "u1");
+  teach(*engine_, "u2");
+  teach(*engine_, "u3");
+  const auto blob = snapshot(*engine_);
+
+  // 1 shard -> 3 shards -> 1 shard: the users spread over the fleet and come
+  // back, and nothing learned is lost or reordered on the way.
+  ShardedProxyEngine fleet(&restored_set_, &config_, layout(3));
+  ASSERT_EQ(fleet.restore_from(SnapshotView(blob), minutes(10)), 3u);
+  std::set<std::size_t> shards_used;
+  for (const char* user : {"u1", "u2", "u3"}) shards_used.insert(fleet.shard_index_for(user));
+  EXPECT_GT(shards_used.size(), 1u) << "the layout change must actually move users";
+
+  ShardedProxyEngine single(&restored_set_, &config_, layout(1));
+  ASSERT_EQ(single.restore_from(SnapshotView(snapshot(fleet)), minutes(20)), 3u);
+  EXPECT_EQ(snapshot(single), blob);
+}
+
+// An entry whose framing (name, length) is intact but whose learned payload
+// stops half-way. The blob's checksum is valid: FNV-1a is public, so anyone
+// can mint such a blob.
+ByteWriter truncated_entry(const std::vector<std::uint8_t>& export_blob) {
+  const SnapshotView view(export_blob);
+  const SnapshotView::Section* section = view.find("user");
+  EXPECT_NE(section, nullptr);
+  ByteReader in(section->data, section->size);
+  const std::string name = in.str();
+  const std::uint64_t half = in.u64() / 2;
+  ByteWriter entry;
+  entry.str(name);
+  entry.u64(half);
+  entry.raw(in.cursor(), half);
+  return entry;
+}
+
+TEST_F(PersistEngineTest, CorruptImportLeavesNoHalfMadeUser) {
+  teach(*engine_, "mover");
+  SnapshotBuilder builder;
+  builder.add_raw("user", ShardedProxyEngine::kUsersSectionVersion,
+                  truncated_entry(engine_->export_user("mover")));
+
+  ShardedProxyEngine successor(&restored_set_, &config_, layout(1));
+  EXPECT_THROW(successor.import_user(builder.finish(), minutes(10)), SnapshotCorruptError);
+  EXPECT_EQ(successor.user_count(), 0u);
+  EXPECT_EQ(successor.learning_for("mover"), nullptr);
+}
+
+TEST_F(PersistEngineTest, CorruptRestoreLeavesNoHalfMadeUser) {
+  teach(*engine_, "u1");
+  teach(*engine_, "mover");
+  // A users section whose first entry is whole and whose second is cut
+  // short: the failed restore must also give back the user it did create.
+  const auto whole = engine_->export_user("u1");
+  const SnapshotView whole_view(whole);
+  const SnapshotView::Section* u1 = whole_view.find("user");
+  ASSERT_NE(u1, nullptr);
+  const ByteWriter cut = truncated_entry(engine_->export_user("mover"));
+  ByteWriter users;
+  users.u32(2);
+  users.raw(u1->data, u1->size);
+  users.raw(cut.data().data(), cut.size());
+  SnapshotBuilder builder;
+  builder.add_raw("users", ShardedProxyEngine::kUsersSectionVersion, users);
+  const auto blob = builder.finish();
+
+  ShardedProxyEngine fleet(&restored_set_, &config_, layout(3));
+  teach(fleet, "local");
+  EXPECT_THROW(fleet.restore_from(SnapshotView(blob), minutes(10)), SnapshotCorruptError);
+  EXPECT_EQ(fleet.user_count(), 1u);
+  EXPECT_EQ(fleet.learning_for("u1"), nullptr);
+  EXPECT_EQ(fleet.learning_for("mover"), nullptr);
+  EXPECT_TRUE(serves_sibling_from_cache(fleet, "local", minutes(10)));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <algorithm>
 
 #include "core/cache.hpp"
-#include "core/proxy.hpp"
 #include "core/scheduler.hpp"
+#include "core/sharded_proxy.hpp"
 #include "wish_fixture.hpp"
 
 namespace appx::core {
@@ -16,6 +16,7 @@ using testfix::make_feed_response;
 using testfix::make_product_request;
 using testfix::make_product_response;
 using testfix::make_wish_set;
+using testfix::one_shard;
 
 // --- PrefetchCache ---------------------------------------------------------------
 
@@ -502,18 +503,20 @@ TEST(PrefetchCache, UnusedBytesTracksLiveNeverUsedEntries) {
   EXPECT_EQ(cache.unused_bytes(), 0);
 }
 
-// --- ProxyEngine -----------------------------------------------------------------
+// --- the APPx engine (one shard) ---------------------------------------------------
 
 class ProxyTest : public ::testing::Test {
  protected:
   ProxyTest() : set_(make_wish_set()) {
     config_.default_expiration = seconds(3600);
-    engine_ = std::make_unique<ProxyEngine>(&set_, &config_, 7);
+    remake_engine();
   }
 
   // Runtime caps are snapshotted into EngineOptions at construction; tests
   // that tighten them must rebuild the engine for the change to apply.
-  void remake_engine() { engine_ = std::make_unique<ProxyEngine>(&set_, &config_, 7); }
+  void remake_engine() {
+    engine_ = std::make_unique<ShardedProxyEngine>(&set_, &config_, one_shard(config_, 7));
+  }
 
   // Drive a full transaction through the proxy as a front end would:
   // client request -> (cache | origin) -> prefetch jobs -> prefetch responses.
@@ -567,7 +570,7 @@ class ProxyTest : public ::testing::Test {
 
   SignatureSet set_;
   ProxyConfig config_;
-  std::unique_ptr<ProxyEngine> engine_;
+  std::unique_ptr<ShardedProxyEngine> engine_;
 };
 
 TEST_F(ProxyTest, EndToEndPrefetchServesSecondInteraction) {
@@ -686,7 +689,7 @@ TEST_F(ProxyTest, AddedHeaderMarksPrefetchButStillMatchesClient) {
   p.hash = product->id;
   p.add_headers = {{"X-Appx", "prefetch"}};
   config_.set_policy(p);
-  engine_ = std::make_unique<ProxyEngine>(&set_, &config_, 7);  // re-read header names
+  remake_engine();  // re-read header names
 
   run_transaction("u1", make_feed_request(), make_feed_response({"a", "b"}), 0);
   run_transaction("u1", make_product_request("a"), make_product_response("m", 1), 1);

@@ -1,5 +1,5 @@
 // Tests for the sharded runtime: multi-threaded shard parallelism vs a
-// single-shard reference, seed-fixed determinism, the fleet-wide metrics
+// one-shard reference, seed-fixed determinism, the fleet-wide metrics
 // balance invariant, UserId interning/generation semantics, and
 // EngineOptions validation. Run under ASan and TSan in CI.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/engine_options.hpp"
-#include "core/proxy.hpp"
 #include "core/session.hpp"
 #include "core/sharded_proxy.hpp"
 #include "wish_fixture.hpp"
@@ -127,9 +126,11 @@ TEST(ShardedProxy, MultiThreadedDisjointUsersMatchSingleShardRun) {
   }
   for (std::thread& thread : threads) thread.join();
 
-  // Reference: one single-shard engine, same workload, single-threaded.
+  // Reference: a one-shard engine, same workload, single-threaded.
   // Per-user isolation means every user's end state must be identical.
-  ProxyEngine reference(&set, &config, 11);
+  EngineOptions one_shard = options;
+  one_shard.shards = 1;
+  ShardedProxyEngine reference(&set, &config, one_shard);
   std::size_t reference_hits = 0;
   for (int t = 0; t < kThreads; ++t) {
     for (int u = 0; u < kUsersPerThread; ++u) {
@@ -449,7 +450,6 @@ TEST(EngineOptions, EnginesRejectInvalidOptionsAtConstruction) {
   ProxyConfig config;
   EngineOptions bad;
   bad.max_outstanding_prefetches = 0;
-  EXPECT_THROW(ProxyEngine(&set, &config, bad), InvalidArgumentError);
   EXPECT_THROW(ShardedProxyEngine(&set, &config, bad), InvalidArgumentError);
 }
 

@@ -7,11 +7,23 @@
 //   related POST {host}/related/get  cid={id}   <- depends on product
 #pragma once
 
+#include <cstdint>
 #include <string>
 
+#include "core/config.hpp"
+#include "core/engine_options.hpp"
 #include "core/signature.hpp"
 
 namespace appx::testfix {
+
+// Options for a one-shard APPx engine: `config`'s runtime caps and a fixed
+// probability-coin seed.
+inline core::EngineOptions one_shard(const core::ProxyConfig& config, std::uint64_t seed) {
+  core::EngineOptions options = core::EngineOptions::from_config(config);
+  options.seed = seed;
+  options.shards = 1;
+  return options;
+}
 
 inline core::TransactionSignature make_feed_signature() {
   core::TransactionSignature sig;
